@@ -32,6 +32,10 @@
 // f+1 from the rest) or black out every delivery to one HMI (it must
 // catch up via rate-limited resync once healed). Episodes end before
 // the settle tail so the conservation gates are checked fault-free.
+//
+// --instances=F splits the devices and HMIs across F independent
+// pipelines, each on its own simulator; --workers=N runs them on N
+// threads (instance i on thread i % N) with identical output at any N.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -62,7 +66,7 @@ constexpr sim::Time kClientLatency = sim::kMillisecond;  ///< client<->replica
 struct Options {
   std::size_t devices = 1000;   ///< total, split across instances
   std::size_t hmis = 50;        ///< total, split across instances
-  std::size_t instances = 1;    ///< independent pipelines (one shard each)
+  std::size_t instances = 1;    ///< independent pipelines (one simulator each)
   unsigned workers = 1;
   sim::Time duration = 15 * sim::kSecond;
   sim::Time tail = 5 * sim::kSecond;  ///< fault-free settle after stop()
@@ -92,15 +96,14 @@ struct RunResult {
   std::uint64_t resyncs = 0, chaos_episodes = 0;
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
-  sim::KernelStats kernel;
 };
 
-// One full pipeline with its own observability scope. Scopes are
-// declared before the components so reverse member destruction tears
-// the pipeline down while the registry its Binders tombstone into is
-// still alive.
+// One full pipeline on its own simulator, with its own observability
+// scope. The simulator comes first and the scopes before the
+// components, so reverse member destruction tears the pipeline down
+// while the registry its Binders tombstone into is still alive.
 struct Instance {
-  sim::ShardId shard = sim::kMainShard;
+  sim::Simulator sim;
   std::unique_ptr<obs::ScopedRegistry> registry_scope;
   std::unique_ptr<obs::ScopedTracer> tracer_scope;
   std::unique_ptr<crypto::Keyring> keyring;
@@ -134,19 +137,313 @@ struct Instance {
   std::uint64_t outputs_dropped = 0;
 };
 
-struct TracerRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::vector<obs::Tracer*> by_shard;
+// What one instance hands back to the main thread once it has been
+// torn down: its gate rows, counters and latency samples.
+struct InstanceReport {
+  std::vector<std::vector<std::string>> rows;  ///< gate table rows
+  bool shape = true;
+  std::uint64_t reports_emitted = 0, reports_sent = 0, reports_shed = 0;
+  std::uint64_t reports_applied = 0, versions = 0;  ///< master 0
+  std::uint64_t deltas_expected = 0, deltas_complete = 0;
+  std::uint64_t resyncs = 0, chaos_episodes = 0, outputs_dropped = 0;
+  std::uint64_t batches_sent = 0;
+  std::uint64_t events = 0;
+  std::vector<double> e2e_ms;    ///< client submit -> f+1 HMI display
+  std::vector<double> field_ms;  ///< field change -> f+1 HMI display
 };
-
-obs::Tracer* route_tracer(void* ctx_raw) {
-  auto* ctx = static_cast<TracerRouterCtx*>(ctx_raw);
-  const sim::ShardId shard = ctx->sim->current_shard();
-  return shard < ctx->by_shard.size() ? ctx->by_shard[shard] : nullptr;
-}
 
 std::string hmi_identity(std::size_t j) {
   return "client/hmi-" + std::to_string(j);
+}
+
+constexpr std::uint32_t kF = 1;
+constexpr std::uint32_t kN = 4;  // 3f+1, red-team style cluster
+
+// Builds instance `i` (its share of the devices and HMIs) on its own
+// simulator.
+void build_instance(Instance& inst, const Options& opt, std::size_t i) {
+  sim::Simulator& sim = inst.sim;
+  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
+  const std::size_t per_devices =
+      std::max<std::size_t>(1, opt.devices / opt.instances);
+  const std::size_t per_hmis = std::max<std::size_t>(1, opt.hmis / opt.instances);
+
+  inst.registry_scope = std::make_unique<obs::ScopedRegistry>(sim_time);
+  inst.tracer_scope = std::make_unique<obs::ScopedTracer>(sim_time);
+  inst.keyring =
+      std::make_unique<crypto::Keyring>("fleet-bench-" + std::to_string(i));
+
+  prime::PrimeConfig pc;
+  pc.f = kF;
+  pc.k = 0;
+  pc.client_identities.push_back("client/proxy-fleet");
+  for (std::size_t j = 0; j < per_hmis; ++j) {
+    pc.client_identities.push_back(hmi_identity(j));
+  }
+
+  crypto::Verifier replica_verifier;
+  for (std::uint32_t r = 0; r < kN; ++r) {
+    replica_verifier.add_identity(
+        prime::replica_identity(r),
+        inst.keyring->identity_key(prime::replica_identity(r)));
+  }
+
+  // client identity -> delivery target (-1 = fleet proxy, else HMI j).
+  auto target_of = [](const std::string& client) -> int {
+    if (client.rfind("client/hmi-", 0) == 0) {
+      return std::atoi(client.c_str() + 11);
+    }
+    return -1;
+  };
+
+  inst.fabric = std::make_unique<prime::LoopbackFabric>(sim, kN);
+  inst.share.resize(kN);
+  sim::Rng rng(0x50524d'0 + i);
+  for (std::uint32_t r = 0; r < kN; ++r) {
+    scada::MasterConfig mc;
+    mc.replica_id = r;
+    mc.scenario = scada::ScenarioSpec::fleet(per_devices);
+    mc.publish_min_versions = opt.publish_min;
+    for (std::size_t j = 0; j < per_hmis; ++j) {
+      mc.hmis.push_back(hmi_identity(j));
+    }
+    auto output = [&inst, &sim, r, target_of](const std::string& client,
+                                              const util::Bytes& data) {
+      if (inst.mute_replica == static_cast<int>(r)) {
+        ++inst.outputs_dropped;
+        return;
+      }
+      const int target = target_of(client);
+      if (target >= 0 && inst.mute_hmi == target) {
+        ++inst.outputs_dropped;
+        return;
+      }
+      auto shared = inst.share[r].share(data);
+      sim.schedule_after(kClientLatency, [&inst, shared, target] {
+        if (target < 0) {
+          inst.proxy->on_master_output(*shared);
+        } else if (static_cast<std::size_t>(target) < inst.hmis.size()) {
+          inst.hmis[target]->on_master_output(*shared);
+        }
+      });
+    };
+    inst.masters.push_back(std::make_unique<scada::ScadaMaster>(
+        std::move(mc), *inst.keyring, output));
+    inst.replicas.push_back(std::make_unique<prime::Replica>(
+        sim, r, pc, *inst.keyring, *inst.masters.back(),
+        inst.fabric->transport_for(r), rng.fork()));
+    prime::Replica* replica = inst.replicas.back().get();
+    inst.fabric->attach(r, [replica](const util::Bytes& bytes) {
+      replica->on_message(bytes);
+    });
+  }
+  for (auto& r : inst.replicas) r->start();
+
+  // Clients submit to every replica with one shared payload copy.
+  auto submit = [&inst, &sim](const util::Bytes& envelope) {
+    auto shared = std::make_shared<const util::Bytes>(envelope);
+    for (std::size_t r = 0; r < inst.replicas.size(); ++r) {
+      sim.schedule_after(kClientLatency, [&inst, shared, r] {
+        inst.replicas[r]->on_message(*shared);
+      });
+    }
+  };
+
+  scada::FleetProxyConfig fpc;
+  fpc.identity = "client/proxy-fleet";
+  fpc.f = kF;
+  fpc.front_door.rate_per_sec = opt.rate;
+  fpc.front_door.burst = opt.burst;
+  fpc.batch.window = opt.batch_window;
+  fpc.batch.max_batch = opt.max_batch;
+  inst.proxy = std::make_unique<scada::FleetProxy>(
+      sim, std::move(fpc), *inst.keyring, replica_verifier, submit);
+
+  for (std::size_t j = 0; j < per_hmis; ++j) {
+    scada::HmiConfig hc;
+    hc.identity = hmi_identity(j);
+    hc.f = kF;
+    inst.hmis.push_back(std::make_unique<scada::Hmi>(
+        sim, std::move(hc), *inst.keyring, replica_verifier, submit));
+  }
+
+  plc::FleetConfig fc;
+  fc.devices = per_devices;
+  fc.report_interval = opt.report_interval;
+  fc.seed ^= i;  // distinct (still deterministic) workload per instance
+  inst.fleet = std::make_unique<plc::EmulatedFleet>(
+      sim, fc,
+      [&inst](const std::string& device, std::vector<bool> breakers,
+              std::vector<std::uint16_t> readings, bool critical) {
+        inst.proxy->ingest(device, std::move(breakers), std::move(readings),
+                           critical ? scada::DeltaPriority::kCritical
+                                    : scada::DeltaPriority::kTelemetry);
+      });
+  for (std::size_t d = 0; d < inst.fleet->device_count(); ++d) {
+    inst.proxy->register_device(inst.fleet->device_name(d));
+  }
+  inst.fleet->start();
+}
+
+// Chaos schedule: deterministic episodes, all healed before the settle
+// tail so the conservation gates run fault-free.
+void schedule_chaos(Instance& inst, const Options& opt, std::size_t i) {
+  sim::Rng chaos_rng(opt.chaos_seed + i);
+  sim::Time t = 2 * sim::kSecond;
+  const sim::Time chaos_end =
+      opt.duration > 6 * sim::kSecond ? opt.duration - 2 * sim::kSecond : 0;
+  while (true) {
+    t += chaos_rng.uniform(2, 4) * sim::kSecond;
+    const sim::Time dur = chaos_rng.uniform(1, 2) * sim::kSecond;
+    if (t + dur >= chaos_end) break;
+    const bool mute_replica = chaos_rng.chance(0.5);
+    // Non-leader replicas only: ordering liveness stays untouched,
+    // output voting must absorb the silent replica.
+    const int victim =
+        mute_replica
+            ? static_cast<int>(chaos_rng.uniform(1, kN - 1))
+            : static_cast<int>(chaos_rng.uniform(0, inst.hmis.size() - 1));
+    inst.sim.schedule_at(t, [&inst, mute_replica, victim] {
+      ++inst.chaos_episodes;
+      (mute_replica ? inst.mute_replica : inst.mute_hmi) = victim;
+    });
+    inst.sim.schedule_at(t + dur, [&inst, mute_replica] {
+      (mute_replica ? inst.mute_replica : inst.mute_hmi) = -1;
+    });
+    t += dur;
+  }
+}
+
+// Builds, runs and checks instance `i`, then tears it down.
+InstanceReport run_instance(const Options& opt, std::size_t i) {
+  Instance inst;
+  build_instance(inst, opt, i);
+  if (opt.chaos) schedule_chaos(inst, opt, i);
+
+  sim::Simulator& sim = inst.sim;
+  sim.run_until(opt.duration);
+  // Stop the field layer and flush the batchers: nothing admitted may
+  // be dropped (fleet_test covers the unit property; this is the
+  // at-scale version of the same gate).
+  inst.fleet->stop();
+  inst.proxy->stop();
+  sim.run_until(opt.duration + opt.tail);
+
+  InstanceReport rep;
+  rep.events = sim.events_executed();
+  const auto& ps = inst.proxy->stats();
+  const auto& door = inst.proxy->front_door_stats();
+  const auto& fleet_stats = inst.fleet->stats();
+
+  // --- conservation chain ---------------------------------------------
+  const std::uint64_t admitted = door.admitted;  // includes criticals
+  const std::uint64_t shed =
+      door.shed_rate + door.shed_overload + door.shed_critical;
+  const bool offered_ok = ps.deltas_offered == fleet_stats.reports_emitted;
+  const bool door_ok = admitted + shed == ps.deltas_offered;
+  const bool no_shed_ok = opt.rate != 0 || shed == 0;
+  const bool sent_ok = ps.reports_sent == admitted;
+  bool applied_ok = true;
+  for (const auto& master : inst.masters) {
+    applied_ok = applied_ok && master->reports_applied() == ps.reports_sent;
+  }
+  const bool critical_ok = door.shed_critical == 0;
+
+  rep.reports_emitted = fleet_stats.reports_emitted;
+  rep.reports_sent = ps.reports_sent;
+  rep.reports_shed = shed;
+  rep.reports_applied = inst.masters[0]->reports_applied();
+  rep.versions = inst.masters[0]->version();
+  rep.chaos_episodes = inst.chaos_episodes;
+  rep.outputs_dropped = inst.outputs_dropped;
+  rep.batches_sent = ps.batches_sent;
+  for (const auto& hmi : inst.hmis) {
+    rep.resyncs += hmi->stats().resyncs_requested;
+  }
+
+  // --- per-delta trace completeness -----------------------------------
+  const obs::Tracer& tracer = inst.tracer_scope->tracer();
+  const auto completeness = tracer.completeness();
+  rep.deltas_expected = completeness.deltas_expected;
+  rep.deltas_complete = completeness.deltas_complete;
+  const bool chains_ok =
+      completeness.deltas_expected > 0 &&
+      completeness.deltas_complete == completeness.deltas_expected &&
+      completeness.executed_complete == completeness.executed;
+
+  // --- every HMI displays the fleet's ground truth --------------------
+  // With no rate limit every device's image must match. Under a rate
+  // limit, telemetry for a never-flipped device can be starved
+  // (deterministic bucket exhaustion sheds the same sweep positions),
+  // so the gate narrows to the front door's actual guarantee: every
+  // breaker movement is critical, never shed, and must display.
+  bool display_ok = true;
+  for (const auto& hmi : inst.hmis) {
+    std::size_t idx = 0;
+    bool ok = true;
+    hmi->display().for_each(
+        [&](const std::string&, const scada::DeviceState& st) {
+          // Registration order is fd0..fdN-1, same as fleet indices.
+          if (idx >= inst.fleet->device_count()) {
+            ok = false;
+          } else if (opt.rate == 0 || inst.fleet->flips(idx) > 0) {
+            ok = ok && st.breakers == inst.fleet->breakers(idx);
+          }
+          ++idx;
+        });
+    display_ok = display_ok && ok && idx == inst.fleet->device_count();
+  }
+
+  if (opt.instances > 1) {
+    rep.rows.push_back({"instance " + std::to_string(i), "", "", ""});
+  }
+  auto gate = [&rep](const char* name, const std::string& value,
+                     const char* expect, bool ok) {
+    rep.rows.push_back({name, value, expect, ok ? "yes" : "NO"});
+    rep.shape = rep.shape && ok;
+  };
+  gate("fleet reports offered",
+       std::to_string(ps.deltas_offered) + "/" +
+           std::to_string(fleet_stats.reports_emitted),
+       "all emitted reach the door", offered_ok);
+  gate("front door accounting",
+       std::to_string(admitted) + "+" + std::to_string(shed),
+       "admitted+shed == offered", door_ok && no_shed_ok);
+  gate("critical never shed", std::to_string(door.shed_critical), "0",
+       critical_ok);
+  gate("batcher conservation", std::to_string(ps.reports_sent),
+       "sent == admitted after stop()", sent_ok);
+  gate("masters applied", std::to_string(inst.masters[0]->reports_applied()),
+       "every master applies every report", applied_ok);
+  gate("per-delta chains",
+       std::to_string(completeness.deltas_complete) + "/" +
+           std::to_string(completeness.deltas_expected),
+       "all complete", chains_ok);
+  gate("HMI displays == ground truth",
+       std::to_string(inst.hmis.size()) + " HMIs", "byte-equal breakers",
+       display_ok);
+
+  // --- latency samples ------------------------------------------------
+  for (const auto& span : tracer.spans()) {
+    if (span.parent != obs::Span::kNoParent) {
+      // Member = one device delta inside a batch: field latency.
+      if (span.has(obs::Stage::kPlcChange) &&
+          span.has(obs::Stage::kHmiDisplay)) {
+        rep.field_ms.push_back(static_cast<double>(
+                                   span.time(obs::Stage::kHmiDisplay) -
+                                   span.time(obs::Stage::kPlcChange)) /
+                               1000.0);
+      }
+      continue;
+    }
+    if (span.has(obs::Stage::kSubmit) && span.has(obs::Stage::kHmiDisplay)) {
+      rep.e2e_ms.push_back(static_cast<double>(
+                               span.time(obs::Stage::kHmiDisplay) -
+                               span.time(obs::Stage::kSubmit)) /
+                           1000.0);
+    }
+  }
+  return rep;
 }
 
 RunResult run_fleet(const Options& opt) {
@@ -158,325 +455,39 @@ RunResult run_fleet(const Options& opt) {
                                                 sim::kMillisecond),
                 opt.chaos ? 1 : 0);
   }
-  sim::Simulator sim;
-  sim.set_workers(opt.workers);
-  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
-
-  const std::size_t per_devices =
-      std::max<std::size_t>(1, opt.devices / opt.instances);
-  const std::size_t per_hmis = std::max<std::size_t>(1, opt.hmis / opt.instances);
-  constexpr std::uint32_t kF = 1;
-  constexpr std::uint32_t kN = 4;  // 3f+1, red-team style cluster
-
-  std::vector<std::unique_ptr<Instance>> instances;
-  instances.reserve(opt.instances);
-  for (std::size_t i = 0; i < opt.instances; ++i) {
-    auto in = std::make_unique<Instance>();
-    in->shard = opt.instances == 1
-                    ? sim::kMainShard
-                    : sim.register_shard("fleet." + std::to_string(i));
-    sim::ShardScope scope(sim, in->shard);
-    in->registry_scope = std::make_unique<obs::ScopedRegistry>(sim_time);
-    in->tracer_scope = std::make_unique<obs::ScopedTracer>(sim_time);
-    in->keyring =
-        std::make_unique<crypto::Keyring>("fleet-bench-" + std::to_string(i));
-    Instance& inst = *in;
-
-    prime::PrimeConfig pc;
-    pc.f = kF;
-    pc.k = 0;
-    pc.client_identities.push_back("client/proxy-fleet");
-    for (std::size_t j = 0; j < per_hmis; ++j) {
-      pc.client_identities.push_back(hmi_identity(j));
-    }
-
-    crypto::Verifier replica_verifier;
-    for (std::uint32_t r = 0; r < kN; ++r) {
-      replica_verifier.add_identity(
-          prime::replica_identity(r),
-          in->keyring->identity_key(prime::replica_identity(r)));
-    }
-
-    // client identity -> delivery target (-1 = fleet proxy, else HMI j).
-    auto target_of = [](const std::string& client) -> int {
-      if (client.rfind("client/hmi-", 0) == 0) {
-        return std::atoi(client.c_str() + 11);
-      }
-      return -1;
-    };
-
-    in->fabric = std::make_unique<prime::LoopbackFabric>(sim, kN);
-    in->share.resize(kN);
-    sim::Rng rng(0x50524d'0 + i);
-    for (std::uint32_t r = 0; r < kN; ++r) {
-      scada::MasterConfig mc;
-      mc.replica_id = r;
-      mc.scenario = scada::ScenarioSpec::fleet(per_devices);
-      mc.publish_min_versions = opt.publish_min;
-      for (std::size_t j = 0; j < per_hmis; ++j) {
-        mc.hmis.push_back(hmi_identity(j));
-      }
-      auto output = [&inst, &sim, r, target_of](const std::string& client,
-                                                const util::Bytes& data) {
-        if (inst.mute_replica == static_cast<int>(r)) {
-          ++inst.outputs_dropped;
-          return;
-        }
-        const int target = target_of(client);
-        if (target >= 0 && inst.mute_hmi == target) {
-          ++inst.outputs_dropped;
-          return;
-        }
-        auto shared = inst.share[r].share(data);
-        sim.schedule_after(kClientLatency, [&inst, shared, target] {
-          if (target < 0) {
-            inst.proxy->on_master_output(*shared);
-          } else if (static_cast<std::size_t>(target) < inst.hmis.size()) {
-            inst.hmis[target]->on_master_output(*shared);
-          }
-        });
-      };
-      in->masters.push_back(std::make_unique<scada::ScadaMaster>(
-          std::move(mc), *in->keyring, output));
-      in->replicas.push_back(std::make_unique<prime::Replica>(
-          sim, r, pc, *in->keyring, *in->masters.back(),
-          in->fabric->transport_for(r), rng.fork()));
-      prime::Replica* replica = in->replicas.back().get();
-      in->fabric->attach(r, [replica](const util::Bytes& bytes) {
-        replica->on_message(bytes);
-      });
-    }
-    for (auto& r : in->replicas) r->start();
-
-    // Clients submit to every replica with one shared payload copy.
-    auto submit = [&inst, &sim](const util::Bytes& envelope) {
-      auto shared = std::make_shared<const util::Bytes>(envelope);
-      for (std::size_t r = 0; r < inst.replicas.size(); ++r) {
-        sim.schedule_after(kClientLatency, [&inst, shared, r] {
-          inst.replicas[r]->on_message(*shared);
-        });
-      }
-    };
-
-    scada::FleetProxyConfig fpc;
-    fpc.identity = "client/proxy-fleet";
-    fpc.f = kF;
-    fpc.front_door.rate_per_sec = opt.rate;
-    fpc.front_door.burst = opt.burst;
-    fpc.batch.window = opt.batch_window;
-    fpc.batch.max_batch = opt.max_batch;
-    in->proxy = std::make_unique<scada::FleetProxy>(
-        sim, std::move(fpc), *in->keyring, replica_verifier, submit);
-
-    for (std::size_t j = 0; j < per_hmis; ++j) {
-      scada::HmiConfig hc;
-      hc.identity = hmi_identity(j);
-      hc.f = kF;
-      in->hmis.push_back(std::make_unique<scada::Hmi>(
-          sim, std::move(hc), *in->keyring, replica_verifier, submit));
-    }
-
-    plc::FleetConfig fc;
-    fc.devices = per_devices;
-    fc.report_interval = opt.report_interval;
-    fc.seed ^= i;  // distinct (still deterministic) workload per instance
-    in->fleet = std::make_unique<plc::EmulatedFleet>(
-        sim, fc,
-        [&inst](const std::string& device, std::vector<bool> breakers,
-                std::vector<std::uint16_t> readings, bool critical) {
-          inst.proxy->ingest(device, std::move(breakers), std::move(readings),
-                             critical ? scada::DeltaPriority::kCritical
-                                      : scada::DeltaPriority::kTelemetry);
-        });
-    for (std::size_t d = 0; d < in->fleet->device_count(); ++d) {
-      in->proxy->register_device(in->fleet->device_name(d));
-    }
-    in->fleet->start();
-    instances.push_back(std::move(in));
-  }
-
-  TracerRouterCtx router_ctx;
-  if (opt.instances > 1) {
-    router_ctx.sim = &sim;
-    router_ctx.by_shard.assign(sim.shard_count(), nullptr);
-    for (const auto& in : instances) {
-      router_ctx.by_shard[in->shard] = &in->tracer_scope->tracer();
-    }
-    obs::Tracer::set_router(&route_tracer, &router_ctx);
-  }
-
-  // Chaos schedule: deterministic episodes, all healed before the
-  // settle tail so the conservation gates run fault-free.
-  if (opt.chaos) {
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      Instance& inst = *instances[i];
-      sim::ShardScope scope(sim, inst.shard);
-      sim::Rng chaos_rng(opt.chaos_seed + i);
-      sim::Time t = 2 * sim::kSecond;
-      const sim::Time chaos_end =
-          opt.duration > 6 * sim::kSecond ? opt.duration - 2 * sim::kSecond : 0;
-      while (true) {
-        t += chaos_rng.uniform(2, 4) * sim::kSecond;
-        const sim::Time dur = chaos_rng.uniform(1, 2) * sim::kSecond;
-        if (t + dur >= chaos_end) break;
-        const bool mute_replica = chaos_rng.chance(0.5);
-        // Non-leader replicas only: ordering liveness stays untouched,
-        // output voting must absorb the silent replica.
-        const int victim =
-            mute_replica
-                ? static_cast<int>(chaos_rng.uniform(1, kN - 1))
-                : static_cast<int>(
-                      chaos_rng.uniform(0, instances[i]->hmis.size() - 1));
-        sim.schedule_at(t, [&inst, mute_replica, victim] {
-          ++inst.chaos_episodes;
-          (mute_replica ? inst.mute_replica : inst.mute_hmi) = victim;
-        });
-        sim.schedule_at(t + dur, [&inst, mute_replica] {
-          (mute_replica ? inst.mute_replica : inst.mute_hmi) = -1;
-        });
-        t += dur;
-      }
-    }
-  }
-
   const auto wall_start = std::chrono::steady_clock::now();
-  const std::uint64_t events_start = sim.events_executed();
-  sim.run_until(opt.duration);
-
-  // Stop the field layer and flush the batchers: nothing admitted may
-  // be dropped (fleet_test covers the unit property; this is the
-  // at-scale version of the same gate).
-  for (auto& in : instances) {
-    sim::ShardScope scope(sim, in->shard);
-    in->fleet->stop();
-    in->proxy->stop();
-  }
-  sim.run_until(opt.duration + opt.tail);
+  const std::vector<InstanceReport> reports = bench::run_fleet(
+      opt.instances, opt.workers,
+      [&opt](std::size_t i, std::FILE*) { return run_instance(opt, i); });
   const auto wall_end = std::chrono::steady_clock::now();
 
   RunResult result;
   result.devices = opt.devices;
   result.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events = sim.events_executed() - events_start;
-  result.kernel = sim.kernel_stats();
 
   bench::Table table({"gate", "value", "expectation", "ok"});
-  std::vector<double> e2e_ms;      // client submit -> f+1 HMI display
-  std::vector<double> field_ms;    // field change -> f+1 HMI display
+  std::vector<double> e2e_ms;
+  std::vector<double> field_ms;
   std::uint64_t reports_applied_total = 0, versions_total = 0;
-
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    Instance& inst = *instances[i];
-    const auto& ps = inst.proxy->stats();
-    const auto& door = inst.proxy->front_door_stats();
-    const auto& fleet_stats = inst.fleet->stats();
-
-    // --- conservation chain -------------------------------------------
-    const std::uint64_t admitted = door.admitted;  // includes criticals
-    const std::uint64_t shed =
-        door.shed_rate + door.shed_overload + door.shed_critical;
-    const bool offered_ok = ps.deltas_offered == fleet_stats.reports_emitted;
-    const bool door_ok = admitted + shed == ps.deltas_offered;
-    const bool no_shed_ok = opt.rate != 0 || shed == 0;
-    const bool sent_ok = ps.reports_sent == admitted;
-    bool applied_ok = true;
-    for (const auto& master : inst.masters) {
-      applied_ok = applied_ok && master->reports_applied() == ps.reports_sent;
-    }
-    const bool critical_ok = door.shed_critical == 0;
-
-    result.reports_emitted += fleet_stats.reports_emitted;
-    result.reports_sent += ps.reports_sent;
-    result.reports_shed += shed;
-    reports_applied_total += inst.masters[0]->reports_applied();
-    versions_total += inst.masters[0]->version();
-    result.chaos_episodes += inst.chaos_episodes;
-    for (const auto& hmi : inst.hmis) {
-      result.resyncs += hmi->stats().resyncs_requested;
-    }
-
-    // --- per-delta trace completeness ---------------------------------
-    const obs::Tracer& tracer = inst.tracer_scope->tracer();
-    const auto completeness = tracer.completeness();
-    result.deltas_expected += completeness.deltas_expected;
-    result.deltas_complete += completeness.deltas_complete;
-    const bool chains_ok =
-        completeness.deltas_expected > 0 &&
-        completeness.deltas_complete == completeness.deltas_expected &&
-        completeness.executed_complete == completeness.executed;
-
-    // --- every HMI displays the fleet's ground truth ------------------
-    // With no rate limit every device's image must match. Under a rate
-    // limit, telemetry for a never-flipped device can be starved
-    // (deterministic bucket exhaustion sheds the same sweep positions),
-    // so the gate narrows to the front door's actual guarantee: every
-    // breaker movement is critical, never shed, and must display.
-    bool display_ok = true;
-    for (const auto& hmi : inst.hmis) {
-      std::size_t idx = 0;
-      bool ok = true;
-      hmi->display().for_each(
-          [&](const std::string&, const scada::DeviceState& st) {
-            // Registration order is fd0..fdN-1, same as fleet indices.
-            if (idx >= inst.fleet->device_count()) {
-              ok = false;
-            } else if (opt.rate == 0 || inst.fleet->flips(idx) > 0) {
-              ok = ok && st.breakers == inst.fleet->breakers(idx);
-            }
-            ++idx;
-          });
-      display_ok = display_ok && ok && idx == inst.fleet->device_count();
-    }
-
-    if (instances.size() > 1) {
-      table.row({"instance " + std::to_string(i), "", "", ""});
-    }
-    auto gate = [&](const char* name, const std::string& value,
-                    const char* expect, bool ok) {
-      table.row({name, value, expect, ok ? "yes" : "NO"});
-      result.shape = result.shape && ok;
-    };
-    gate("fleet reports offered",
-         std::to_string(ps.deltas_offered) + "/" +
-             std::to_string(fleet_stats.reports_emitted),
-         "all emitted reach the door", offered_ok);
-    gate("front door accounting",
-         std::to_string(admitted) + "+" + std::to_string(shed),
-         "admitted+shed == offered", door_ok && no_shed_ok);
-    gate("critical never shed", std::to_string(door.shed_critical), "0",
-         critical_ok);
-    gate("batcher conservation", std::to_string(ps.reports_sent),
-         "sent == admitted after stop()", sent_ok);
-    gate("masters applied", std::to_string(inst.masters[0]->reports_applied()),
-         "every master applies every report", applied_ok);
-    gate("per-delta chains",
-         std::to_string(completeness.deltas_complete) + "/" +
-             std::to_string(completeness.deltas_expected),
-         "all complete", chains_ok);
-    gate("HMI displays == ground truth",
-         std::to_string(inst.hmis.size()) + " HMIs", "byte-equal breakers",
-         display_ok);
-
-    // --- latency samples ----------------------------------------------
-    for (const auto& span : tracer.spans()) {
-      if (span.parent != obs::Span::kNoParent) {
-        // Member = one device delta inside a batch: field latency.
-        if (span.has(obs::Stage::kPlcChange) &&
-            span.has(obs::Stage::kHmiDisplay)) {
-          field_ms.push_back(static_cast<double>(
-                                 span.time(obs::Stage::kHmiDisplay) -
-                                 span.time(obs::Stage::kPlcChange)) /
-                             1000.0);
-        }
-        continue;
-      }
-      if (span.has(obs::Stage::kSubmit) && span.has(obs::Stage::kHmiDisplay)) {
-        e2e_ms.push_back(static_cast<double>(span.time(obs::Stage::kHmiDisplay) -
-                                             span.time(obs::Stage::kSubmit)) /
-                         1000.0);
-      }
-    }
+  std::uint64_t batches = 0, outputs_dropped = 0;
+  for (const InstanceReport& rep : reports) {
+    for (const auto& row : rep.rows) table.row(row);
+    result.shape = result.shape && rep.shape;
+    result.reports_emitted += rep.reports_emitted;
+    result.reports_sent += rep.reports_sent;
+    result.reports_shed += rep.reports_shed;
+    result.deltas_expected += rep.deltas_expected;
+    result.deltas_complete += rep.deltas_complete;
+    result.resyncs += rep.resyncs;
+    result.chaos_episodes += rep.chaos_episodes;
+    result.events += rep.events;
+    reports_applied_total += rep.reports_applied;
+    versions_total += rep.versions;
+    batches += rep.batches_sent;
+    outputs_dropped += rep.outputs_dropped;
+    e2e_ms.insert(e2e_ms.end(), rep.e2e_ms.begin(), rep.e2e_ms.end());
+    field_ms.insert(field_ms.end(), rep.field_ms.begin(), rep.field_ms.end());
   }
 
   // --- batching efficiency --------------------------------------------
@@ -507,35 +518,10 @@ RunResult run_fleet(const Options& opt) {
               "%llu chaos episodes (%llu outputs muted), %llu resyncs\n",
               static_cast<unsigned long long>(result.reports_emitted),
               static_cast<unsigned long long>(result.reports_shed),
-              static_cast<unsigned long long>(
-                  [&] {
-                    std::uint64_t b = 0;
-                    for (const auto& in : instances) {
-                      b += in->proxy->stats().batches_sent;
-                    }
-                    return b;
-                  }()),
+              static_cast<unsigned long long>(batches),
               static_cast<unsigned long long>(result.chaos_episodes),
-              static_cast<unsigned long long>([&] {
-                std::uint64_t d = 0;
-                for (const auto& in : instances) d += in->outputs_dropped;
-                return d;
-              }()),
+              static_cast<unsigned long long>(outputs_dropped),
               static_cast<unsigned long long>(result.resyncs));
-  if (opt.instances > 1 || opt.workers > 1) {
-    const sim::KernelStats& ks = result.kernel;
-    std::printf("kernel: shards=%u workers=%u parallel_windows=%llu "
-                "mails_routed=%llu events=%llu wall=%.2fs\n",
-                ks.shards, ks.workers,
-                static_cast<unsigned long long>(ks.parallel_windows),
-                static_cast<unsigned long long>(ks.mails_routed),
-                static_cast<unsigned long long>(result.events),
-                result.wall_seconds);
-  }
-
-  if (opt.instances > 1) obs::Tracer::set_router(nullptr, nullptr);
-  // Newest-first so each scope restores the exact previous current().
-  while (!instances.empty()) instances.pop_back();
   return result;
 }
 

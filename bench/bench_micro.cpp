@@ -10,10 +10,6 @@
 //                          schedule/cancel/reschedule mix (the pattern
 //                          every replica timer and message delivery
 //                          produces)
-//   scheduler_parallel     events/sec through the sharded kernel over a
-//                          48-host topology (gated on the workers=1
-//                          path; 2/4/8-worker speedups as extras, with
-//                          bit-identical results asserted)
 //   envelope_verify        verifies/sec of signed Prime envelopes
 //                          through crypto::Verifier
 //   prime_update_ordering  end-to-end updates/sec executed by an f=1
@@ -303,101 +299,6 @@ MicroResult run_scheduler_churn() {
   }
   const double wall = seconds_since(start);
   return MicroResult{sim.events_executed(), wall, {}};
-}
-
-/// Conservative-parallel kernel over a multi-host topology: one shard
-/// per host, dense local timers with real per-event compute, and a
-/// cross-shard token ring whose link latency is the lookahead
-/// (DESIGN.md §8). The canonical measurement — and the CI-gated rate —
-/// is the workers=1 path, so the parallel kernel can never regress
-/// single-threaded throughput; the same workload then re-runs at 2/4/8
-/// workers, is asserted bit-identical (event count + per-host state
-/// digest), and the wall-time speedups are reported as extras. The
-/// speedups are only meaningful on a multi-core runner; on one core
-/// they sit at or below 1.0x by construction.
-MicroResult run_scheduler_parallel() {
-  static constexpr std::size_t kHosts = 48;
-  static constexpr sim::Time kTick = 10;       // local timer period (us)
-  static constexpr sim::Time kHop = 400;       // ring link latency = lookahead
-  static constexpr sim::Time kDuration = 400 * sim::kMillisecond;
-  static constexpr unsigned kWorkRounds = 24;  // per-event compute
-
-  // One cache line per host: adjacent hosts run on different workers.
-  struct alignas(64) HostState {
-    std::uint64_t checksum = 0;
-  };
-  struct RunOutcome {
-    std::uint64_t events = 0;
-    std::uint64_t digest = 0;
-    double wall = 0;
-  };
-
-  const auto run_at = [](unsigned workers) {
-    sim::Simulator sim;
-    sim.set_workers(workers);
-    std::vector<sim::ShardId> shards;
-    shards.reserve(kHosts);
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      shards.push_back(sim.register_shard("host" + std::to_string(h)));
-    }
-    sim.note_link_latency(kHop);
-    std::vector<HostState> states(kHosts);
-    // Ring handlers: handler h runs on shard h, touches only host h's
-    // state, and forwards the token over the 400us link.
-    auto forward = std::make_shared<std::vector<std::function<void()>>>(kHosts);
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      HostState* st = &states[h];
-      const std::size_t next = (h + 1) % kHosts;
-      const sim::ShardId next_shard = shards[next];
-      (*forward)[h] = [&sim, st, next, next_shard, forward] {
-        st->checksum ^= 0x9E3779B97F4A7C15ull + (st->checksum << 6);
-        sim.send_to(next_shard, kHop, [forward, next] { (*forward)[next](); });
-      };
-    }
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      sim::ShardScope scope(sim, shards[h]);
-      HostState* st = &states[h];
-      auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&sim, st, tick] {
-        std::uint64_t x = st->checksum ^ sim.now();
-        for (unsigned r = 0; r < kWorkRounds; ++r) {
-          x ^= x << 13;
-          x ^= x >> 7;
-          x ^= x << 17;
-        }
-        st->checksum = x;
-        sim.schedule_after(kTick, *tick);
-      };
-      sim.schedule_after(kTick + h % 7, *tick);
-      const std::size_t self = h;
-      sim.schedule_after(kHop, [forward, self] { (*forward)[self](); });
-    }
-    const auto start = Clock::now();
-    sim.run_until(kDuration);
-    RunOutcome out;
-    out.wall = seconds_since(start);
-    out.events = sim.events_executed();
-    std::uint64_t digest = 0xcbf29ce484222325ull;
-    for (const HostState& s : states) {
-      digest = (digest ^ s.checksum) * 1099511628211ull;
-    }
-    out.digest = digest;
-    if (sim.kernel_stats().lookahead_violations != 0) std::abort();
-    return out;
-  };
-
-  const RunOutcome base = run_at(1);
-  if (base.events < kHosts * (kDuration / kTick) / 2) std::abort();
-  MicroResult r{base.events, base.wall, {}};
-  for (const unsigned workers : {2u, 4u, 8u}) {
-    const RunOutcome o = run_at(workers);
-    // The parallel runs must be bit-identical to the serial one; a
-    // mismatch means the kernel lost determinism, so the bench aborts.
-    if (o.events != base.events || o.digest != base.digest) std::abort();
-    r.extra.emplace_back("workers" + std::to_string(workers) + "_speedup",
-                         o.wall > 0 ? base.wall / o.wall : 0.0);
-  }
-  return r;
 }
 
 /// Envelope verification: decode-once, verify-many over a working set of
@@ -1206,7 +1107,6 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
   };
   const Spec specs[] = {
       {"scheduler_churn", "events_per_sec", run_scheduler_churn},
-      {"scheduler_parallel", "events_per_sec", run_scheduler_parallel},
       {"envelope_verify", "verifies_per_sec", run_envelope_verify},
       {"prime_update_ordering", "updates_per_sec", run_prime_update_ordering},
       {"prime_preprepare_encode", "encodes_per_sec", run_prime_preprepare_encode},
@@ -1229,6 +1129,10 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
     }
     std::fprintf(stderr, "running %s...\n", spec.name);
     sections.push_back(BenchSection{spec.name, spec.unit, spec.run()});
+  }
+  if (sections.empty()) {
+    std::fprintf(stderr, "--only=%s matches no section\n", only.c_str());
+    return 1;
   }
 
   std::string baseline_text;

@@ -1,13 +1,18 @@
 // Shared helpers for the experiment benches: aligned table printing,
-// latency statistics, and a standard header that ties each binary back
-// to the paper artifact it reproduces (see DESIGN.md §4).
+// latency statistics, a standard header that ties each binary back to
+// the paper artifact it reproduces (see DESIGN.md §4), and the runner
+// that spreads independent fleet instances over threads (§8).
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "prime/recovery.hpp"
@@ -36,7 +41,7 @@ class Table {
 
   void row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
-  void print() const {
+  void print(std::FILE* out = stdout) const {
     std::vector<std::size_t> widths(columns_.size());
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       widths[c] = columns_[c].size();
@@ -45,19 +50,19 @@ class Table {
       }
     }
     auto print_row = [&](const std::vector<std::string>& cells) {
-      std::printf("|");
+      std::fprintf(out, "|");
       for (std::size_t c = 0; c < columns_.size(); ++c) {
         const std::string& cell = c < cells.size() ? cells[c] : std::string();
-        std::printf(" %-*s |", static_cast<int>(widths[c]), cell.c_str());
+        std::fprintf(out, " %-*s |", static_cast<int>(widths[c]), cell.c_str());
       }
-      std::printf("\n");
+      std::fprintf(out, "\n");
     };
     print_row(columns_);
-    std::printf("|");
+    std::fprintf(out, "|");
     for (std::size_t c = 0; c < columns_.size(); ++c) {
-      std::printf("%s|", std::string(widths[c] + 2, '-').c_str());
+      std::fprintf(out, "%s|", std::string(widths[c] + 2, '-').c_str());
     }
-    std::printf("\n");
+    std::fprintf(out, "\n");
     for (const auto& r : rows_) print_row(r);
   }
 
@@ -157,7 +162,7 @@ class LatencyReporter {
   }
   [[nodiscard]] bool empty() const { return series_.empty(); }
 
-  void print(const char* title = "latency") const {
+  void print(const char* title = "latency", std::FILE* out = stdout) const {
     Table table({title, "min", "p50", "p90", "p99", "max", "mean", "samples"});
     for (const auto& s : series_) {
       table.row({s.name, fmt_ms(s.stats.min_ms), fmt_ms(s.stats.median_ms),
@@ -165,7 +170,7 @@ class LatencyReporter {
                  fmt_ms(s.stats.max_ms), fmt_ms(s.stats.mean_ms),
                  std::to_string(s.stats.samples)});
     }
-    table.print();
+    table.print(out);
   }
 
   /// {"bench":name,"series":{"<name>":{min_ms,p50_ms,...,samples},...}}
@@ -200,7 +205,8 @@ class LatencyReporter {
 /// observability counters (route-recompute coalescing, dedup pressure,
 /// per-priority queue high-water marks) so control-plane regressions are
 /// visible in bench output.
-inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
+inline void print_overlay_stats(const char* label, spines::Overlay& overlay,
+                                std::FILE* out = stdout) {
   std::uint64_t forwarded = 0, delivered = 0, recomputes = 0, coalesced = 0;
   std::uint64_t dedup_evictions = 0, queue_drops = 0;
   std::uint64_t max_depth[3] = {0, 0, 0};
@@ -217,7 +223,8 @@ inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
                               static_cast<std::uint64_t>(s.max_queue_depth[p]));
     }
   }
-  std::printf(
+  std::fprintf(
+      out,
       "%s overlay: %llu forwarded, %llu delivered, %llu route recomputes "
       "(%llu coalesced), %llu dedup evictions, %llu queue-full drops, max "
       "queue depth lo/med/hi = %llu/%llu/%llu\n",
@@ -236,8 +243,10 @@ inline void print_overlay_stats(const char* label, spines::Overlay& overlay) {
 /// completion-gated slot accounting, per-recovery wall time, and the
 /// state-transfer volume each rejuvenation pulled.
 inline void print_recovery_stats(const char* label,
-                                 const prime::RecoveryStats& s) {
-  std::printf(
+                                 const prime::RecoveryStats& s,
+                                 std::FILE* out = stdout) {
+  std::fprintf(
+      out,
       "%s recovery: %llu takedowns, %llu completed, %llu retries, "
       "%llu deferred ticks, in-flight high-water %u\n",
       label, static_cast<unsigned long long>(s.takedowns),
@@ -245,7 +254,8 @@ inline void print_recovery_stats(const char* label,
       static_cast<unsigned long long>(s.retries),
       static_cast<unsigned long long>(s.deferred_ticks),
       s.in_flight_high_water);
-  std::printf(
+  std::fprintf(
+      out,
       "%s recovery: wall last/max/mean = %s / %s / %s, state transfer "
       "%llu bytes over %llu StateReqs\n",
       label, fmt_ms(static_cast<double>(s.last_recovery_wall) / 1000.0).c_str(),
@@ -259,8 +269,10 @@ inline void print_recovery_stats(const char* label,
 }
 
 /// Prints the fault-injection schedule outcome for a chaos run.
-inline void print_chaos_stats(const sim::ChaosStats& s) {
-  std::printf(
+inline void print_chaos_stats(const sim::ChaosStats& s,
+                              std::FILE* out = stdout) {
+  std::fprintf(
+      out,
       "chaos: %llu episodes injected (%llu partitions, %llu link degrades, "
       "%llu crash-restarts), %llu healed, %.1f s total fault time\n",
       static_cast<unsigned long long>(s.injected),
@@ -269,6 +281,54 @@ inline void print_chaos_stats(const sim::ChaosStats& s) {
       static_cast<unsigned long long>(s.crash_restarts),
       static_cast<unsigned long long>(s.healed),
       static_cast<double>(s.total_fault_time) / sim::kSecond);
+}
+
+/// Runs `count` independent simulations — one sim::Simulator each —
+/// with instance i on worker i % workers (worker 0 is the calling
+/// thread). `job(i, out)` builds, runs, reports and tears down instance
+/// i on its worker, printing into `out` (a per-instance buffer), and
+/// returns its result. Once every instance is done the buffers go to
+/// stdout in index order, so the output does not depend on `workers`;
+/// then the first exception an instance threw, if any, is rethrown.
+template <typename Job>
+auto run_fleet(std::size_t count, unsigned workers, Job job)
+    -> std::vector<std::invoke_result_t<Job&, std::size_t, std::FILE*>> {
+  std::vector<std::invoke_result_t<Job&, std::size_t, std::FILE*>> results(
+      count);
+  std::vector<std::string> outputs(count);
+  std::vector<std::exception_ptr> errors(count);
+  const std::size_t threads =
+      std::clamp<std::size_t>(workers, 1, std::max<std::size_t>(count, 1));
+  auto worker = [&](std::size_t w) {
+    for (std::size_t i = w; i < count; i += threads) {
+      char* buf = nullptr;
+      std::size_t len = 0;
+      std::FILE* out = open_memstream(&buf, &len);
+      if (out == nullptr) {
+        errors[i] = std::make_exception_ptr(
+            std::runtime_error("run_fleet: cannot open an output buffer"));
+        continue;
+      }
+      try {
+        results[i] = job(i, out);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+      std::fclose(out);
+      outputs[i].assign(buf, len);
+      std::free(buf);
+    }
+  };
+  {
+    std::vector<std::jthread> pool;  // joined when this scope ends
+    for (std::size_t w = 1; w < threads; ++w) pool.emplace_back(worker, w);
+    worker(0);
+  }
+  for (const auto& text : outputs) std::fputs(text.c_str(), stdout);
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
 }
 
 }  // namespace spire::bench

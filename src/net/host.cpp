@@ -20,7 +20,6 @@ bool FirewallConfig::permits(Direction dir, IpAddress remote,
 Host::Host(sim::Simulator& sim, std::string name)
     : sim_(sim),
       name_(std::move(name)),
-      shard_(sim.current_shard()),
       log_("net.host." + name_) {}
 
 std::size_t Host::add_interface(MacAddress mac, IpAddress ip, int prefix_len) {

@@ -17,29 +17,9 @@ Switch& Network::add_switch(SwitchConfig config) {
 PortId Network::connect(Host& host, std::size_t iface, Switch& sw) {
   const PortId port = sw.add_port(
       [&host, iface](const EthernetFrame& frame) { host.handle_frame(iface, frame); });
-  sw.set_port_shard(port, host.shard());
-  if (host.shard() == sw.shard()) {
-    // Same shard: synchronous ingress, the exact pre-shard wiring.
-    host.set_transmit(iface, [&sw, port](EthernetFrame frame) {
-      sw.receive(port, std::move(frame));
-    });
-  } else {
-    // Cross-shard uplink: the switch's propagation delay is spent on
-    // the wire *into* the switch, covering the shard hop, and it
-    // becomes this link's lookahead contribution. (Sharded topologies
-    // therefore see propagation on each leg of a switched path; the
-    // single-shard wiring keeps the legacy single-leg timing.)
-    const sim::Time ingress = sw.config().propagation_delay;
-    sim_.note_link_latency(ingress);
-    sim::Simulator& sim = sim_;
-    Switch* swp = &sw;
-    host.set_transmit(iface, [&sim, swp, port, ingress](EthernetFrame frame) {
-      sim.send_to(swp->shard(), ingress,
-                  [swp, port, f = std::move(frame)]() mutable {
-                    swp->receive(port, std::move(f));
-                  });
-    });
-  }
+  host.set_transmit(iface, [&sw, port](EthernetFrame frame) {
+    sw.receive(port, std::move(frame));
+  });
   if (sw.config().static_port_binding) {
     sw.bind_mac(host.mac(iface), port);
   }
@@ -49,18 +29,13 @@ PortId Network::connect(Host& host, std::size_t iface, Switch& sw) {
 void Network::cable(Host& a, std::size_t iface_a, Host& b, std::size_t iface_b,
                     sim::Time latency) {
   sim::Simulator& sim = sim_;
-  if (a.shard() != b.shard()) sim.note_link_latency(latency);
-  // send_to degrades to the legacy same-shard schedule when the ends
-  // share a shard, so single-shard topologies keep their exact event
-  // sequence; split ends route through the kernel mailboxes with the
-  // cable latency as lookahead.
   a.set_transmit(iface_a, [&sim, &b, iface_b, latency](EthernetFrame f) {
-    sim.send_to(b.shard(), latency, [&b, iface_b, f = std::move(f)] {
+    sim.schedule_after(latency, [&b, iface_b, f = std::move(f)] {
       b.handle_frame(iface_b, f);
     });
   });
   b.set_transmit(iface_b, [&sim, &a, iface_a, latency](EthernetFrame f) {
-    sim.send_to(a.shard(), latency, [&a, iface_a, f = std::move(f)] {
+    sim.schedule_after(latency, [&a, iface_a, f = std::move(f)] {
       a.handle_frame(iface_a, f);
     });
   });

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,23 +41,34 @@ namespace spire::net {
 using NetworkId = std::uint32_t;
 
 /// Process-wide interner for capture-point labels. Append-only and
-/// tiny (one entry per monitored network), registered at tap-install
-/// time only — never on the mirror hot path.
+/// tiny (one entry per monitored network), used at tap-install and
+/// export time only — never on the mirror hot path. Simulations on
+/// separate threads share it, so every call takes a lock and name()
+/// returns a copy.
 class NetworkLabels {
  public:
   static NetworkLabels& instance();
 
-  NetworkId intern(std::string_view label) { return interner_.intern(label); }
+  NetworkId intern(std::string_view label) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return interner_.intern(label);
+  }
   [[nodiscard]] NetworkId lookup(std::string_view label) const {
+    const std::lock_guard<std::mutex> lock(mu_);
     return interner_.lookup(label);
   }
-  [[nodiscard]] const std::string& name(NetworkId id) const {
+  [[nodiscard]] std::string name(NetworkId id) const {
+    const std::lock_guard<std::mutex> lock(mu_);
     return interner_.name(id);
   }
-  [[nodiscard]] std::size_t size() const { return interner_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return interner_.size();
+  }
 
  private:
   NetworkLabels() = default;
+  mutable std::mutex mu_;
   util::StringInterner interner_;
 };
 
@@ -134,9 +146,9 @@ struct CaptureTapStats {
 };
 
 /// Single-producer single-consumer summary ring between a switch mirror
-/// port and the analyzer. Same-shard by construction (the tap lives on
-/// its switch's shard); "out-of-band" is simulated by the analyzer
-/// draining on its own periodic event rather than per frame.
+/// port and the analyzer. Both run on the switch's simulator thread;
+/// "out-of-band" is simulated by the analyzer draining on its own
+/// periodic event rather than per frame.
 class CaptureTap {
  public:
   static constexpr std::uint32_t kMaxStride = 1024;

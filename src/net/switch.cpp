@@ -7,20 +7,15 @@ namespace spire::net {
 Switch::Switch(sim::Simulator& sim, SwitchConfig config)
     : sim_(sim),
       config_(std::move(config)),
-      shard_(sim.current_shard()),
       log_("net.switch." + config_.name) {}
 
 PortId Switch::add_port(std::function<void(const EthernetFrame&)> deliver) {
-  ports_.push_back(Port{std::move(deliver), 0, 0, shard_});
+  ports_.push_back(Port{std::move(deliver), 0, 0});
   return ports_.size() - 1;
 }
 
 void Switch::bind_mac(const MacAddress& mac, PortId port) {
   static_table_[mac] = port;
-}
-
-void Switch::set_port_shard(PortId port, sim::ShardId shard) {
-  ports_[port].shard = shard;
 }
 
 void Switch::add_tap(std::string network_label, PcapSink sink) {
@@ -100,28 +95,12 @@ void Switch::emit(PortId port, EthernetFrame frame) {
   const sim::Time done = start + serialization;
   p.busy_until = done;
 
-  const sim::Time deliver_at = done + config_.propagation_delay;
-  if (p.shard == shard_) {
-    // Same-shard port: the exact pre-shard delivery event.
-    sim_.schedule_at(deliver_at, [this, port, frame = std::move(frame)] {
-      Port& out = ports_[port];
-      if (out.queued > 0) --out.queued;
-      if (out.deliver) out.deliver(frame);
-    });
-    return;
-  }
-  // Cross-shard port: the handoff crosses at least the propagation
-  // delay (which Network::connect registered as lookahead), so the
-  // posted delivery always clears the window horizon. Queue-slot
-  // bookkeeping stays a switch-shard event.
-  sim_.schedule_at(deliver_at, [this, port] {
-    Port& out = ports_[port];
-    if (out.queued > 0) --out.queued;
-  });
-  sim_.post_at(p.shard, deliver_at, [this, port, frame = std::move(frame)] {
-    const Port& out = ports_[port];
-    if (out.deliver) out.deliver(frame);
-  });
+  sim_.schedule_at(done + config_.propagation_delay,
+                   [this, port, frame = std::move(frame)] {
+                     Port& out = ports_[port];
+                     if (out.queued > 0) --out.queued;
+                     if (out.deliver) out.deliver(frame);
+                   });
 }
 
 }  // namespace spire::net

@@ -59,15 +59,6 @@ class Switch {
   /// enforced when config.static_port_binding is true.
   void bind_mac(const MacAddress& mac, PortId port);
 
-  /// Parallel-kernel placement (DESIGN.md §8): the switch's own state —
-  /// tables, taps, queue bookkeeping, chaos RNG — lives on `shard_`
-  /// (defaults to the ambient shard at construction), and each port
-  /// remembers the shard of its attached device so egress deliveries
-  /// can be posted to the right mailbox. Wire-time only, not mid-run.
-  void set_shard(sim::ShardId shard) { shard_ = shard; }
-  [[nodiscard]] sim::ShardId shard() const { return shard_; }
-  void set_port_shard(PortId port, sim::ShardId shard);
-
   /// Frame arriving from the device attached to `ingress`. Taken by
   /// value: the unicast forwarding path moves the frame into the
   /// scheduled delivery instead of copying the payload.
@@ -96,18 +87,12 @@ class Switch {
     std::function<void(const EthernetFrame&)> deliver;
     sim::Time busy_until = 0;
     std::size_t queued = 0;
-    /// Shard of the attached device. `deliver` is wired once at build
-    /// time and only read afterwards, so a cross-shard delivery event
-    /// may call it while the switch shard updates the scheduling fields
-    /// above — distinct memory locations, no race.
-    sim::ShardId shard = sim::kMainShard;
   };
 
   void emit(PortId port, EthernetFrame frame);
 
   sim::Simulator& sim_;
   SwitchConfig config_;
-  sim::ShardId shard_;
   util::Logger log_;
   std::vector<Port> ports_;
   std::map<MacAddress, PortId> static_table_;

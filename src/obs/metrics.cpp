@@ -52,8 +52,6 @@ void Histogram::reset() {
 
 // --- MetricsRegistry -------------------------------------------------
 
-MetricsRegistry* MetricsRegistry::current_ = nullptr;
-
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
   return registry;

@@ -13,15 +13,10 @@
 // installed. Registration order is deterministic for a deterministic
 // run, so two identical sim runs produce byte-identical snapshots.
 //
-// Parallel-kernel contract (DESIGN.md §8): the registry is shard-safe
-// by ownership, not by atomics. Handles are raw pointers owned by the
-// component that registered them, and a component lives on exactly one
-// shard, so every hot-path increment is a plain single-threaded store;
-// the registry only walks the handles at snapshot time, from driver
-// context, after the kernel's window barrier has already ordered all
-// shard writes before the driver's reads. Per-shard instances (fleet
-// benches) each build under their own ScopedRegistry and are merged —
-// or emitted side by side — at snapshot time.
+// Threading (DESIGN.md §8): a registry is single-threaded, like the
+// simulation that feeds it. `current()` is per thread, so simulations
+// running side by side on separate threads each bind into their own
+// ScopedRegistry.
 #pragma once
 
 #include <array>
@@ -80,17 +75,17 @@ class Histogram {
 
 class Binder;
 
-/// Process-wide registry. Like util::LogConfig, deliberately
-/// single-threaded. `current()` is swappable (ScopedRegistry) so tests
-/// and benches can run against a fresh registry without touching the
-/// default global one.
+/// Single-threaded registry. `current()` is swappable per thread
+/// (ScopedRegistry) so tests and benches can run against a fresh
+/// registry without touching the default global one.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The default process-wide registry.
+  /// The default process-wide registry, shared by every thread: code
+  /// off the main thread registers under its own ScopedRegistry.
   static MetricsRegistry& global();
   /// The registry new registrations bind into (global unless swapped).
   static MetricsRegistry& current();
@@ -140,7 +135,7 @@ class MetricsRegistry {
   std::deque<Histogram> histograms_;
   std::function<std::uint64_t()> time_source_;
 
-  static MetricsRegistry* current_;
+  static inline thread_local MetricsRegistry* current_ = nullptr;
 };
 
 /// RAII registration of externally-owned stats into the current

@@ -38,10 +38,6 @@ const char* to_string(Stage stage) {
   return "?";
 }
 
-Tracer* Tracer::current_ = nullptr;
-Tracer::Router Tracer::router_ = nullptr;
-void* Tracer::router_ctx_ = nullptr;
-
 Tracer::Tracer(std::function<std::uint64_t()> time_source)
     : time_(std::move(time_source)) {
   // Prefault the span store up front: growing it lazily puts soft page

@@ -157,25 +157,9 @@ class Tracer {
   /// ordering degenerates but hook cost stays measurable.
   explicit Tracer(std::function<std::uint64_t()> time_source = {});
 
-  /// nullptr unless a ScopedTracer is active — hot paths test this once
-  /// (plus one predictable branch for the shard router, below).
-  static Tracer* current() {
-    return router_ != nullptr ? router_(router_ctx_) : current_;
-  }
-
-  /// Shard routing (DESIGN.md §8): a parallel-kernel bench with one
-  /// traced instance per shard installs a router so hooks resolve to
-  /// the executing shard's tracer instead of the single global one.
-  /// A plain function pointer + context keeps the uninstalled hot path
-  /// at one branch. Install/uninstall from driver context only; the
-  /// router itself must be safe to call from worker threads (it
-  /// typically just indexes a per-shard array by
-  /// Simulator::current_shard()).
-  using Router = Tracer* (*)(void* ctx);
-  static void set_router(Router router, void* ctx) {
-    router_ = router;
-    router_ctx_ = ctx;
-  }
+  /// nullptr unless a ScopedTracer is active on this thread — hot
+  /// paths test this once.
+  static Tracer* current() { return current_; }
 
   // --- hooks (called from instrumented components) -------------------
   void plc_change(const std::string& device, std::size_t breaker);
@@ -316,9 +300,9 @@ class Tracer {
   Histogram* order_latency_us_ = nullptr;  // submit → execute
   Histogram* e2e_latency_us_ = nullptr;    // plc change → HMI display
 
-  static Tracer* current_;
-  static Router router_;
-  static void* router_ctx_;
+  /// Per thread, so simulations running side by side on separate
+  /// threads each trace into their own ScopedTracer.
+  static inline thread_local Tracer* current_ = nullptr;
 };
 
 /// Enables tracing for the scope's lifetime. Construct it *after* any

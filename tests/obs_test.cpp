@@ -8,11 +8,15 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <new>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -29,8 +33,8 @@ using namespace spire;
 // assert that counter increments and histogram records never allocate.
 // The counter is only meaningful between two reads on the same thread;
 // gtest's own allocations outside the measured window don't matter.
-// Atomic (relaxed) because the parallel-kernel tests below allocate
-// from worker threads too; the hot-path assertions still run their
+// Atomic (relaxed) because the threaded-instances test below allocates
+// from two threads at once; the hot-path assertions still run their
 // measured window single-threaded.
 
 static std::atomic<std::uint64_t> g_alloc_count{0};
@@ -203,94 +207,74 @@ TEST(MetricsRegistry, SnapshotDeterministicAcrossIdenticalRuns) {
 
 namespace {
 
-/// Per-shard observability for the parallel-kernel determinism test:
-/// each shard owns a registry, a tracer, and raw metric handles, and
-/// only that shard's events ever touch them (DESIGN.md §8 ownership
-/// rule — no atomics anywhere on the hot path).
-struct ShardObs {
-  sim::ShardId shard = sim::kMainShard;
-  std::unique_ptr<obs::ScopedRegistry> registry;
-  std::unique_ptr<obs::ScopedTracer> tracer;
-  std::uint64_t* events = nullptr;
-  obs::Histogram* gap = nullptr;
+/// What one instrumented instance leaves behind: its metrics snapshot
+/// and its trace as JSONL.
+struct RunArtifacts {
+  std::string metrics;
+  std::string trace;
 };
 
-struct ObsRouterCtx {
-  const sim::Simulator* sim = nullptr;
-  std::array<obs::Tracer*, 4> by_shard{};
-};
-
-/// Runs an identical two-shard instrumented workload under `workers`
-/// threads and returns both shards' metrics snapshots. Tracer hooks are
-/// routed to the executing shard's tracer via Tracer::set_router.
-std::vector<std::string> sharded_snapshots(unsigned workers) {
+/// Runs one small instrumented deployment on the calling thread, under
+/// its own ScopedRegistry and ScopedTracer. Capture taps make its
+/// construction intern NetworkLabels and count mirrored frames into
+/// the registry. `variant` changes the workload, so two variants give
+/// different artifacts; `tag` keeps file names and labels unique.
+RunArtifacts instrumented_run(int variant, const std::string& tag) {
   sim::Simulator sim;
-  sim.set_workers(workers);
-  auto sim_time = [&sim] { return static_cast<std::uint64_t>(sim.now()); };
-
-  std::vector<std::unique_ptr<ShardObs>> shards;
-  for (int i = 0; i < 2; ++i) {
-    auto so = std::make_unique<ShardObs>();
-    so->shard = sim.register_shard("obs." + std::to_string(i));
-    sim::ShardScope scope(sim, so->shard);
-    so->registry = std::make_unique<obs::ScopedRegistry>(sim_time);
-    so->tracer = std::make_unique<obs::ScopedTracer>(sim_time);
-    so->events = obs::MetricsRegistry::current().counter("shard.events");
-    so->gap = obs::MetricsRegistry::current().histogram("shard.gap");
-    shards.push_back(std::move(so));
+  obs::ScopedRegistry registry([&sim] { return sim.now(); });
+  obs::ScopedTracer tracer([&sim] { return sim.now(); });
+  scada::DeploymentConfig config;
+  config.f = 1;
+  config.k = 0;
+  config.cycler_interval =
+      static_cast<sim::Time>(700 + 300 * variant) * sim::kMillisecond;
+  scada::SpireDeployment deployment(sim, config);
+  std::uint64_t* frames = registry.registry().counter("test.tap_frames");
+  // Labels are new to the process on every call, so two threads insert
+  // into the shared interner at once.
+  for (const char* label : {"ops", "enterprise", "operations-spire"}) {
+    deployment.external_switch().add_tap(
+        std::string(label) + "." + tag + std::to_string(variant),
+        [frames](const net::PcapRecord&) { ++*frames; });
   }
+  deployment.start();
+  sim.run_until(10 * sim::kSecond);
 
-  ObsRouterCtx ctx;
-  ctx.sim = &sim;
-  for (const auto& so : shards) {
-    ctx.by_shard[so->shard] = &so->tracer->tracer();
-  }
-  obs::Tracer::set_router(
-      [](void* raw) -> obs::Tracer* {
-        auto* c = static_cast<ObsRouterCtx*>(raw);
-        return c->by_shard[c->sim->current_shard()];
-      },
-      &ctx);
-
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ShardObs& so = *shards[i];
-    sim::ShardScope scope(sim, so.shard);
-    const sim::Time period = static_cast<sim::Time>(i + 3) * sim::kMillisecond;
-    auto tick = std::make_shared<std::function<void()>>();
-    *tick = [&sim, &so, tick, period] {
-      ++*so.events;
-      so.gap->record(static_cast<std::uint64_t>(sim.now() % 97));
-      obs::Tracer* t = obs::Tracer::current();
-      t->client_submit("client/x", *so.events);
-      t->executed("client/x", *so.events, sim.now(), sim.now());
-      sim.schedule_after(period, [tick] { (*tick)(); });
-    };
-    sim.schedule_after(period, [tick] { (*tick)(); });
-  }
-  sim.run_until(2 * sim::kSecond);
-
-  std::vector<std::string> out;
-  out.reserve(shards.size());
-  for (const auto& so : shards) {
-    out.push_back(so->registry->registry().snapshot_json());
-  }
-  obs::Tracer::set_router(nullptr, nullptr);
-  // Newest-first so each scope restores the exact previous current().
-  while (!shards.empty()) shards.pop_back();
-  return out;
+  const std::string path = ::testing::TempDir() + "obs_thread_" +
+                           std::to_string(variant) + "_" + tag + ".jsonl";
+  EXPECT_TRUE(tracer.tracer().write_jsonl(path));
+  std::ifstream in(path);
+  std::ostringstream trace;
+  trace << in.rdbuf();
+  std::remove(path.c_str());
+  return {registry.registry().snapshot_json(), trace.str()};
 }
 
 }  // namespace
 
-TEST(MetricsRegistry, ShardedSnapshotsDeterministicAcrossWorkerCounts) {
-  const std::vector<std::string> base = sharded_snapshots(1);
-  ASSERT_EQ(base.size(), 2u);
-  EXPECT_GT(base[0].size(), 50u);
-  // Distinct tick periods → the two shards' snapshots genuinely differ.
-  EXPECT_NE(base[0], base[1]);
-  for (const unsigned workers : {2u, 4u}) {
-    EXPECT_EQ(sharded_snapshots(workers), base) << "workers=" << workers;
-  }
+// Two instances on two threads at once must each produce exactly what
+// the same instance produces alone on the main thread: the current
+// registry and tracer are per thread, and the shared NetworkLabels
+// interner is locked.
+TEST(MetricsRegistry, ThreadedInstancesMatchTheirSoloRuns) {
+  const RunArtifacts solo0 = instrumented_run(0, "solo");
+  const RunArtifacts solo1 = instrumented_run(1, "solo");
+  EXPECT_GT(solo0.metrics.size(), 100u);
+  EXPECT_NE(solo0.trace.find("\"client\""), std::string::npos);
+  EXPECT_NE(solo0.metrics, solo1.metrics);
+  EXPECT_NE(solo0.trace, solo1.trace);
+
+  RunArtifacts threaded0, threaded1;
+  std::thread t0([&] { threaded0 = instrumented_run(0, "thread"); });
+  std::thread t1([&] { threaded1 = instrumented_run(1, "thread"); });
+  t0.join();
+  t1.join();
+  EXPECT_EQ(threaded0.metrics, solo0.metrics);
+  EXPECT_EQ(threaded0.trace, solo0.trace);
+  EXPECT_EQ(threaded1.metrics, solo1.metrics);
+  EXPECT_EQ(threaded1.trace, solo1.trace);
+  // Nothing leaked into the main thread's scopes.
+  EXPECT_EQ(obs::Tracer::current(), nullptr);
 }
 
 // ---- zero-allocation hot path -----------------------------------------------
