@@ -12,6 +12,8 @@
 //                          produces)
 //   envelope_verify        verifies/sec of signed Prime envelopes
 //                          through crypto::Verifier
+//   link_seal_open         SecureChannel seal+open pairs/sec over the
+//                          overlay's datagram size mix, plus ns per pair
 //   prime_update_ordering  end-to-end updates/sec executed by an f=1
 //                          Prime cluster on the loopback fabric
 //   overlay_forward        msgs/sec routed end-to-end through a 6-node
@@ -109,30 +111,54 @@ void BM_HmacSha256(benchmark::State& state) {
 BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
 
 void BM_ChaCha20Xor(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
+  util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
   crypto::ChaChaKey key{};
   crypto::ChaChaNonce nonce{};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::chacha20_xor(key, nonce, 1, data));
+    crypto::chacha20_xor(key, nonce, 1, data);
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_ChaCha20Xor)->Arg(256)->Arg(4096);
 
-void BM_SecureChannelRoundTrip(benchmark::State& state) {
+// Link sealing at the overlay datagram sizes the end-to-end workloads
+// send: 172 B is the fleet_commands median, 214 B and 389 B the plant
+// median and 90th percentile. As in perfbench, the plaintext is the
+// datagram size minus SecureChannel::kOverhead.
+util::Bytes link_plaintext(std::size_t frame_size) {
+  return make_payload(frame_size - crypto::SecureChannel::kOverhead);
+}
+
+void BM_SecureChannelSeal(benchmark::State& state) {
   crypto::Keyring keyring("bench");
   crypto::SecureChannel sender(keyring.link_key("a", "b"));
-  crypto::SecureChannel receiver(keyring.link_key("a", "b"));
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
+  const util::Bytes data = link_plaintext(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    const auto sealed = sender.seal(data);
-    benchmark::DoNotOptimize(receiver.open(sealed));
+    benchmark::DoNotOptimize(sender.seal(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_SecureChannelRoundTrip)->Arg(256)->Arg(1400);
+BENCHMARK(BM_SecureChannelSeal)->Arg(172)->Arg(214)->Arg(389);
+
+void BM_SecureChannelOpen(benchmark::State& state) {
+  crypto::Keyring keyring("bench");
+  crypto::SecureChannel sender(keyring.link_key("a", "b"));
+  const crypto::SecureChannel receiver(keyring.link_key("a", "b"));
+  const util::Bytes sealed =
+      sender.seal(link_plaintext(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto opened = receiver.open(sealed);
+    if (!opened) std::abort();  // bench integrity
+    benchmark::DoNotOptimize(opened);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SecureChannelOpen)->Arg(172)->Arg(214)->Arg(389);
 
 void BM_ModbusRequestRoundTrip(benchmark::State& state) {
   const modbus::Request request =
@@ -1067,6 +1093,31 @@ MicroResult run_mana_score() {
   return r;
 }
 
+/// Link crypto per overlay hop: one seal plus one open, over a fixed mix
+/// of datagram sizes around the workloads' medians (see link_plaintext).
+MicroResult run_link_seal_open() {
+  constexpr std::array<std::size_t, 5> kFrameSizes = {96, 172, 214, 279, 389};
+  constexpr std::uint64_t kTargetRoundTrips = 500'000;
+  crypto::Keyring keyring("bench-link");
+  crypto::SecureChannel sender(keyring.link_key("a", "b"));
+  const crypto::SecureChannel receiver(keyring.link_key("a", "b"));
+  std::vector<util::Bytes> plain;
+  for (const std::size_t size : kFrameSizes) plain.push_back(link_plaintext(size));
+
+  std::uint64_t done = 0;
+  const auto start = Clock::now();
+  while (done < kTargetRoundTrips) {
+    for (const auto& p : plain) {
+      if (!receiver.open(sender.seal(p))) std::abort();  // bench integrity
+      ++done;
+    }
+  }
+  const double wall = seconds_since(start);
+  MicroResult r{done, wall, {}};
+  r.extra.emplace_back("ns_per_seal_open", wall * 1e9 / static_cast<double>(done));
+  return r;
+}
+
 // ---- JSON emission ----------------------------------------------------------
 
 struct BenchSection {
@@ -1108,6 +1159,7 @@ int run_json_mode(const std::string& out_path, const std::string& baseline_path,
   const Spec specs[] = {
       {"scheduler_churn", "events_per_sec", run_scheduler_churn},
       {"envelope_verify", "verifies_per_sec", run_envelope_verify},
+      {"link_seal_open", "seal_opens_per_sec", run_link_seal_open},
       {"prime_update_ordering", "updates_per_sec", run_prime_update_ordering},
       {"prime_preprepare_encode", "encodes_per_sec", run_prime_preprepare_encode},
       {"prime_merkle_batch", "units_per_sec", run_prime_merkle_batch},

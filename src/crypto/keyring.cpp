@@ -14,6 +14,14 @@ SymmetricKey digest_to_key(const Digest& d) {
 
 util::Bytes key_span(std::string_view s) { return util::to_bytes(s); }
 
+/// The 96-bit ChaCha20 nonce of a sealed frame: the wire's big-endian
+/// u64 nonce counter followed by four zero bytes.
+ChaChaNonce link_nonce(std::span<const std::uint8_t, 8> counter_be) {
+  ChaChaNonce nonce{};
+  std::copy(counter_be.begin(), counter_be.end(), nonce.begin());
+  return nonce;
+}
+
 }  // namespace
 
 Keyring::Keyring(std::string_view master_seed) {
@@ -60,52 +68,35 @@ bool Verifier::verify(std::string_view identity,
   return digest_equal(expected, sig.mac);
 }
 
-SecureChannel::SecureChannel(SymmetricKey key) {
-  // Domain-separate the encryption and MAC keys from the link key.
-  enc_key_ = digest_to_key(hmac_sha256(key, util::to_bytes("enc")));
-  mac_key_ = digest_to_key(hmac_sha256(key, util::to_bytes("mac")));
-}
+SecureChannel::SecureChannel(SymmetricKey key)
+    // Domain-separate the encryption and MAC keys from the link key.
+    : enc_key_(digest_to_key(hmac_sha256(key, util::to_bytes("enc")))),
+      mac_(digest_to_key(hmac_sha256(key, util::to_bytes("mac")))) {}
 
 util::Bytes SecureChannel::seal(std::span<const std::uint8_t> plaintext) {
-  const std::uint64_t nonce_counter = next_nonce_++;
-  ChaChaNonce nonce{};
-  for (int i = 0; i < 8; ++i) {
-    nonce[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
-  }
-  ChaChaKey ck{};
-  std::copy(enc_key_.begin(), enc_key_.end(), ck.begin());
-  util::Bytes ciphertext = chacha20_xor(ck, nonce, 1, plaintext);
-
-  util::ByteWriter w;
-  w.u64(nonce_counter);
-  w.raw(ciphertext);
-  const Digest tag = hmac_sha256(mac_key_, w.bytes());
-  w.raw(std::span<const std::uint8_t>(tag.data(), tag.size()));
-  return w.take();
+  util::ByteWriter w(plaintext.size() + kOverhead);
+  w.u64(next_nonce_++);
+  w.raw(plaintext);
+  util::Bytes out = w.take();
+  const auto body = std::span<std::uint8_t>(out);
+  chacha20_xor(enc_key_, link_nonce(body.first<8>()), 1, body.subspan(8));
+  const Digest tag = mac_.mac(out);
+  out.insert(out.end(), tag.begin(), tag.end());
+  return out;
 }
 
 std::optional<util::Bytes> SecureChannel::open(
     std::span<const std::uint8_t> sealed) const {
   if (sealed.size() < kOverhead) return std::nullopt;
-  const std::size_t body_len = sealed.size() - 32;
-  const Digest tag = hmac_sha256(mac_key_, sealed.subspan(0, body_len));
+  const auto body = sealed.first(sealed.size() - 32);
+  const auto tag = sealed.last<32>();
   Digest provided{};
-  std::copy(sealed.begin() + static_cast<std::ptrdiff_t>(body_len),
-            sealed.end(), provided.begin());
-  if (!digest_equal(tag, provided)) return std::nullopt;
+  std::copy(tag.begin(), tag.end(), provided.begin());
+  if (!digest_equal(mac_.mac(body), provided)) return std::nullopt;
 
-  util::ByteReader r(sealed.subspan(0, body_len));
-  const std::uint64_t nonce_counter = r.u64();
-  ChaChaNonce nonce{};
-  for (int i = 0; i < 8; ++i) {
-    nonce[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(nonce_counter >> (56 - 8 * i));
-  }
-  ChaChaKey ck{};
-  std::copy(enc_key_.begin(), enc_key_.end(), ck.begin());
-  const auto ct = r.rest();
-  return chacha20_xor(ck, nonce, 1, ct);
+  util::Bytes plain(body.begin() + 8, body.end());
+  chacha20_xor(enc_key_, link_nonce(body.first<8>()), 1, plain);
+  return plain;
 }
 
 }  // namespace spire::crypto

@@ -97,7 +97,9 @@ class Verifier {
 
 /// Authenticated encryption for overlay links:
 /// wire format = u64 nonce-counter || ciphertext || 32-byte HMAC tag.
-/// The tag covers the nonce and the ciphertext (encrypt-then-MAC).
+/// The tag covers the nonce and the ciphertext (encrypt-then-MAC). The
+/// MAC key schedule is expanded once at construction, and seal/open
+/// each build their result in one buffer.
 class SecureChannel {
  public:
   explicit SecureChannel(SymmetricKey key);
@@ -105,15 +107,15 @@ class SecureChannel {
   /// Encrypts and authenticates. Each call consumes one nonce.
   [[nodiscard]] util::Bytes seal(std::span<const std::uint8_t> plaintext);
 
-  /// Verifies and decrypts; nullopt on any tampering or truncation.
+  /// Verifies, then decrypts; nullopt on any tampering or truncation.
   [[nodiscard]] std::optional<util::Bytes> open(
       std::span<const std::uint8_t> sealed) const;
 
   static constexpr std::size_t kOverhead = 8 + 32;
 
  private:
-  SymmetricKey enc_key_{};
-  SymmetricKey mac_key_{};
+  ChaChaKey enc_key_{};
+  HmacState mac_;
   std::uint64_t next_nonce_ = 1;
 };
 

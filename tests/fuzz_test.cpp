@@ -5,6 +5,7 @@
 // rejected (nullopt / SerializationError), never trusted.
 #include <gtest/gtest.h>
 
+#include "crypto/keyring.hpp"
 #include "dnp3/app.hpp"
 #include "dnp3/framing.hpp"
 #include "modbus/pdu.hpp"
@@ -141,6 +142,43 @@ TEST(Fuzz, ScadaDecoders) {
       // rejection is the expected path
     }
   }, 28);
+}
+
+TEST(Fuzz, SecureChannelOpen) {
+  // The overlay's link authentication: a frame that is not byte-for-byte
+  // what the peer sealed must be rejected before anything is decrypted.
+  // Sizes straddle the scalar/AVX2 split (64 B) and the 512 B batch.
+  const crypto::Keyring keyring("fuzz-link");
+  crypto::SecureChannel sender(keyring.link_key("int0", "int1"));
+  const crypto::SecureChannel receiver(keyring.link_key("int0", "int1"));
+  sim::Rng rng(29);
+  for (const std::size_t size :
+       {0, 1, 24, 63, 64, 65, 128, 214, 389, 511, 512, 513, 1400}) {
+    util::Bytes plain(size);
+    for (auto& b : plain) b = static_cast<std::uint8_t>(rng.next());
+    const util::Bytes sealed = sender.seal(plain);
+
+    for (std::size_t bit = 0; bit < 8 * sealed.size(); ++bit) {
+      util::Bytes flipped = sealed;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_FALSE(receiver.open(flipped)) << "size " << size << " bit " << bit;
+    }
+    for (std::size_t len = 0; len < crypto::SecureChannel::kOverhead; ++len) {
+      ASSERT_FALSE(receiver.open(std::span(sealed).first(len)))
+          << "size " << size << " truncated to " << len;
+    }
+    for (int extra = 1; extra <= 8; ++extra) {
+      util::Bytes longer = sealed;
+      for (int i = 0; i < extra; ++i) longer.push_back(static_cast<std::uint8_t>(rng.next()));
+      ASSERT_FALSE(receiver.open(longer)) << "size " << size << " plus " << extra;
+    }
+    const auto opened = receiver.open(sealed);
+    ASSERT_TRUE(opened) << "size " << size;
+    EXPECT_EQ(*opened, plain);
+  }
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_FALSE(receiver.open(random_bytes(rng, 2048)));
+  }
 }
 
 TEST(Fuzz, ReplicaSurvivesGarbageStream) {
