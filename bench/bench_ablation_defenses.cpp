@@ -130,7 +130,7 @@ struct Case {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E10", "§III-B / §VI-A",
       "Each low-level hardening measure is individually necessary: the "

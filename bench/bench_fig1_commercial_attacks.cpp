@@ -20,7 +20,7 @@
 using namespace spire;
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E1", "Fig. 1 + §IV-B",
       "NIST-best-practice commercial SCADA falls to network attacks: PLC "

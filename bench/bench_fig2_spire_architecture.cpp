@@ -10,6 +10,8 @@
 //
 // Shape to hold (paper §II, §V): latency stays bounded (sub-second,
 // well inside the plant's requirements) in all three conditions.
+//
+// Run:  bench_fig2_spire_architecture [--json=PATH]
 #include "bench_util.hpp"
 #include "scada/deployment.hpp"
 
@@ -147,11 +149,12 @@ Result run_config(std::uint32_t f, std::uint32_t k, Condition condition) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {"--json=PATH"});
   bench::print_header(
       "E2", "Fig. 2 + §II",
       "Spire sustains bounded-latency SCADA operation with 3f+2k+1 replicas, "
       "through one intrusion and through proactive recoveries");
+  bench::Report report(args, "bench_fig2_spire_architecture");
 
   bench::LatencyReporter reporter;
   bench::Table throughput({"config", "condition", "ordered updates/s"});
@@ -172,7 +175,6 @@ int main(int argc, char** argv) {
                          "batches sealed", "stale PO-ARUs", "recon queued",
                          "recon satisfied", "matrix fetches"});
 
-  bool bounded = true;
   for (const auto& c : cases) {
     Result r = run_config(c.f, c.k, c.condition);
     char config_name[32];
@@ -183,8 +185,11 @@ int main(int argc, char** argv) {
     char rate[32];
     std::snprintf(rate, sizeof(rate), "%.1f", r.updates_per_sec);
     throughput.row({config_name, to_string(c.condition), rate});
-    reporter.add(label + " cmd->breaker", std::move(r.to_plc_ms));
-    reporter.add(label + " cmd->HMI", std::move(r.to_hmi_ms));
+    report.measured(label + " cmd->breaker",
+                    reporter.add(label + " cmd->breaker",
+                                 std::move(r.to_plc_ms)));
+    const bench::LatencyStats hmi_stats =
+        reporter.add(label + " cmd->HMI", std::move(r.to_hmi_ms));
     fastpath.row({config_name, to_string(c.condition),
                   std::to_string(r.row_short_circuits),
                   std::to_string(r.batches_sealed),
@@ -192,21 +197,20 @@ int main(int argc, char** argv) {
                   std::to_string(r.recon_queued),
                   std::to_string(r.recon_satisfied),
                   std::to_string(r.matrix_fetches)});
-    const bench::LatencyStats* hmi_stats = reporter.find(label + " cmd->HMI");
-    if (hmi_stats->samples < 28 || hmi_stats->p90_ms > 1000.0) bounded = false;
+    report.measured(label + " cmd->HMI", hmi_stats);
+    report.at_least(label + " cmd->HMI.samples",
+                    static_cast<double>(hmi_stats.samples), 28);
+    report.at_most(label + " cmd->HMI.p90_ms", hmi_stats.p90_ms, 1000.0);
+    report.measured(label + " updates_per_sec", r.updates_per_sec);
     if (r.has_recovery) {
       bench::print_recovery_stats(config_name, r.recovery_stats);
-      if (r.recovery_stats.in_flight_high_water > c.k) bounded = false;
+      report.at_most(label + " in_flight_high_water",
+                     r.recovery_stats.in_flight_high_water, c.k);
     }
   }
   reporter.print("command round-trip");
   std::printf("\nOrdered-update throughput:\n");
   throughput.print();
-  if (bench::has_flag(argc, argv, "--json")) {
-    reporter.write_json(
-        bench::flag_value(argc, argv, "--json", "BENCH_fig2_latency.json"),
-        "bench_fig2_spire_architecture");
-  }
 
   std::printf("\nPrime ordering fast-path counters (summed across replicas):\n");
   fastpath.print();
@@ -214,6 +218,6 @@ int main(int argc, char** argv) {
   std::printf("\nShape check vs paper: command execution stays bounded "
               "(sub-second) in every condition, including with a compromised "
               "replica and during proactive recovery: %s\n",
-              bounded ? "HOLDS" : "VIOLATED");
-  return bounded ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

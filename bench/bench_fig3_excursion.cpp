@@ -45,7 +45,7 @@ bool command_round_trip(sim::Simulator& sim, scada::SpireDeployment& spire_sys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E4", "§IV-B excursion",
       "Gradually escalating compromise of one replica — user level, "

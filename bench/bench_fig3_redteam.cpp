@@ -172,7 +172,7 @@ std::string alert_summary(const std::vector<mana::Alert>& alerts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E3", "Fig. 3 + §IV-B",
       "With the §III-B hardening, none of the red team's network attacks "

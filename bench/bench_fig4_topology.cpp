@@ -15,7 +15,7 @@
 using namespace spire;
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E5", "Fig. 4 + §IV-A",
       "The predetermined breaker cycle is executed faithfully: every "

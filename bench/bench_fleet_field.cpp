@@ -19,13 +19,11 @@
 // fleet's ground truth, device by device.
 //
 // Batching efficiency gate: constituent device deltas per ordered
-// Prime update (master reports_applied / version) must clear
-// --min-batch-ratio (the ISSUE's ≥3x at 10k).
+// Prime update (master reports_applied / version) must be at least 3
+// in every run, and every run's submit->display p99 at most 100 ms.
 //
-// --curve=1000,5000,10000 runs the scaling curve in one process and
-// gates p99(last)/p99(first) ≤ --max-p99-ratio (flat within 2x).
-// --baseline=bench/baseline_fleet.json gates absolute p99 and ratio
-// against the committed baseline in CI.
+// --devices=1000,5000,10000 runs the scaling curve in one process and
+// gates p99(last)/p99(first) ≤ 2 (flat within 2x).
 //
 // Chaos (--chaos): deterministic episodes that either mute one
 // non-leader replica's client-facing output (HMIs must keep voting
@@ -36,11 +34,9 @@
 // --instances=F splits the devices and HMIs across F independent
 // pipelines, each on its own simulator; --workers=N runs them on N
 // threads (instance i on thread i % N) with identical output at any N.
+// The bench exits 1 when any gate fails.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,6 +58,7 @@ namespace {
 using namespace spire;
 
 constexpr sim::Time kClientLatency = sim::kMillisecond;  ///< client<->replica
+constexpr sim::Time kBatchWindow = 20 * sim::kMillisecond;
 
 struct Options {
   std::size_t devices = 1000;   ///< total, split across instances
@@ -70,32 +67,9 @@ struct Options {
   unsigned workers = 1;
   sim::Time duration = 15 * sim::kSecond;
   sim::Time tail = 5 * sim::kSecond;  ///< fault-free settle after stop()
-  sim::Time batch_window = 20 * sim::kMillisecond;
-  std::size_t max_batch = 256;
-  std::uint64_t rate = 0;   ///< front-door tokens/sec per client, 0 = off
-  std::uint64_t burst = 64;
-  // Every visible batch publishes (min 1): a >1 throttle could leave
-  // the final flip of the run unpublished, since nothing arrives after
-  // the stop() flush to push the version past the threshold.
-  std::uint64_t publish_min = 1;
-  sim::Time report_interval = 500 * sim::kMillisecond;
   bool chaos = false;
   std::uint64_t chaos_seed = 0x464c4545'54424348ULL;
-  double min_batch_ratio = 3.0;
   bool banner = false;
-};
-
-struct RunResult {
-  bool shape = true;
-  std::size_t devices = 0;
-  double p99_ms = 0.0, p50_ms = 0.0;
-  std::size_t latency_samples = 0;
-  double batch_ratio = 0.0;  ///< device deltas per ordered update
-  std::uint64_t reports_emitted = 0, reports_sent = 0, reports_shed = 0;
-  std::uint64_t deltas_expected = 0, deltas_complete = 0;
-  std::uint64_t resyncs = 0, chaos_episodes = 0;
-  std::uint64_t events = 0;
-  double wall_seconds = 0.0;
 };
 
 // One full pipeline on its own simulator, with its own observability
@@ -144,7 +118,7 @@ struct InstanceReport {
   bool shape = true;
   std::uint64_t reports_emitted = 0, reports_sent = 0, reports_shed = 0;
   std::uint64_t reports_applied = 0, versions = 0;  ///< master 0
-  std::uint64_t deltas_expected = 0, deltas_complete = 0;
+  std::uint64_t deltas_complete = 0;
   std::uint64_t resyncs = 0, chaos_episodes = 0, outputs_dropped = 0;
   std::uint64_t batches_sent = 0;
   std::uint64_t events = 0;
@@ -203,7 +177,6 @@ void build_instance(Instance& inst, const Options& opt, std::size_t i) {
     scada::MasterConfig mc;
     mc.replica_id = r;
     mc.scenario = scada::ScenarioSpec::fleet(per_devices);
-    mc.publish_min_versions = opt.publish_min;
     for (std::size_t j = 0; j < per_hmis; ++j) {
       mc.hmis.push_back(hmi_identity(j));
     }
@@ -252,10 +225,7 @@ void build_instance(Instance& inst, const Options& opt, std::size_t i) {
   scada::FleetProxyConfig fpc;
   fpc.identity = "client/proxy-fleet";
   fpc.f = kF;
-  fpc.front_door.rate_per_sec = opt.rate;
-  fpc.front_door.burst = opt.burst;
-  fpc.batch.window = opt.batch_window;
-  fpc.batch.max_batch = opt.max_batch;
+  fpc.batch.window = kBatchWindow;
   inst.proxy = std::make_unique<scada::FleetProxy>(
       sim, std::move(fpc), *inst.keyring, replica_verifier, submit);
 
@@ -269,7 +239,6 @@ void build_instance(Instance& inst, const Options& opt, std::size_t i) {
 
   plc::FleetConfig fc;
   fc.devices = per_devices;
-  fc.report_interval = opt.report_interval;
   fc.seed ^= i;  // distinct (still deterministic) workload per instance
   inst.fleet = std::make_unique<plc::EmulatedFleet>(
       sim, fc,
@@ -340,8 +309,8 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
   const std::uint64_t shed =
       door.shed_rate + door.shed_overload + door.shed_critical;
   const bool offered_ok = ps.deltas_offered == fleet_stats.reports_emitted;
-  const bool door_ok = admitted + shed == ps.deltas_offered;
-  const bool no_shed_ok = opt.rate != 0 || shed == 0;
+  // The front door runs without a rate limit, so nothing may be shed.
+  const bool door_ok = admitted + shed == ps.deltas_offered && shed == 0;
   const bool sent_ok = ps.reports_sent == admitted;
   bool applied_ok = true;
   for (const auto& master : inst.masters) {
@@ -364,7 +333,6 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
   // --- per-delta trace completeness -----------------------------------
   const obs::Tracer& tracer = inst.tracer_scope->tracer();
   const auto completeness = tracer.completeness();
-  rep.deltas_expected = completeness.deltas_expected;
   rep.deltas_complete = completeness.deltas_complete;
   const bool chains_ok =
       completeness.deltas_expected > 0 &&
@@ -372,11 +340,6 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
       completeness.executed_complete == completeness.executed;
 
   // --- every HMI displays the fleet's ground truth --------------------
-  // With no rate limit every device's image must match. Under a rate
-  // limit, telemetry for a never-flipped device can be starved
-  // (deterministic bucket exhaustion sheds the same sweep positions),
-  // so the gate narrows to the front door's actual guarantee: every
-  // breaker movement is critical, never shed, and must display.
   bool display_ok = true;
   for (const auto& hmi : inst.hmis) {
     std::size_t idx = 0;
@@ -384,11 +347,8 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
     hmi->display().for_each(
         [&](const std::string&, const scada::DeviceState& st) {
           // Registration order is fd0..fdN-1, same as fleet indices.
-          if (idx >= inst.fleet->device_count()) {
-            ok = false;
-          } else if (opt.rate == 0 || inst.fleet->flips(idx) > 0) {
-            ok = ok && st.breakers == inst.fleet->breakers(idx);
-          }
+          ok = ok && idx < inst.fleet->device_count() &&
+               st.breakers == inst.fleet->breakers(idx);
           ++idx;
         });
     display_ok = display_ok && ok && idx == inst.fleet->device_count();
@@ -408,7 +368,7 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
        "all emitted reach the door", offered_ok);
   gate("front door accounting",
        std::to_string(admitted) + "+" + std::to_string(shed),
-       "admitted+shed == offered", door_ok && no_shed_ok);
+       "admitted+shed == offered", door_ok);
   gate("critical never shed", std::to_string(door.shed_critical), "0",
        critical_ok);
   gate("batcher conservation", std::to_string(ps.reports_sent),
@@ -446,12 +406,14 @@ InstanceReport run_instance(const Options& opt, std::size_t i) {
   return rep;
 }
 
-RunResult run_fleet(const Options& opt) {
+// Runs one fleet size and gates it in `report` under the label
+// devices_<N>; returns its submit->display p99.
+double run_fleet(const Options& opt, bench::Report& report) {
   if (opt.banner) {
     std::printf("\n=== fleet run: devices=%zu hmis=%zu instances=%zu "
                 "workers=%u window=%llums chaos=%d ===\n",
                 opt.devices, opt.hmis, opt.instances, opt.workers,
-                static_cast<unsigned long long>(opt.batch_window /
+                static_cast<unsigned long long>(kBatchWindow /
                                                 sim::kMillisecond),
                 opt.chaos ? 1 : 0);
   }
@@ -460,28 +422,27 @@ RunResult run_fleet(const Options& opt) {
       opt.instances, opt.workers,
       [&opt](std::size_t i, std::FILE*) { return run_instance(opt, i); });
   const auto wall_end = std::chrono::steady_clock::now();
-
-  RunResult result;
-  result.devices = opt.devices;
-  result.wall_seconds =
+  const double wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
 
   bench::Table table({"gate", "value", "expectation", "ok"});
+  bool shape = true;
   std::vector<double> e2e_ms;
   std::vector<double> field_ms;
-  std::uint64_t reports_applied_total = 0, versions_total = 0;
+  std::uint64_t reports_emitted = 0, reports_sent = 0, reports_shed = 0;
+  std::uint64_t deltas_complete = 0, resyncs = 0, chaos_episodes = 0;
+  std::uint64_t events = 0, reports_applied_total = 0, versions_total = 0;
   std::uint64_t batches = 0, outputs_dropped = 0;
   for (const InstanceReport& rep : reports) {
     for (const auto& row : rep.rows) table.row(row);
-    result.shape = result.shape && rep.shape;
-    result.reports_emitted += rep.reports_emitted;
-    result.reports_sent += rep.reports_sent;
-    result.reports_shed += rep.reports_shed;
-    result.deltas_expected += rep.deltas_expected;
-    result.deltas_complete += rep.deltas_complete;
-    result.resyncs += rep.resyncs;
-    result.chaos_episodes += rep.chaos_episodes;
-    result.events += rep.events;
+    shape = shape && rep.shape;
+    reports_emitted += rep.reports_emitted;
+    reports_sent += rep.reports_sent;
+    reports_shed += rep.reports_shed;
+    deltas_complete += rep.deltas_complete;
+    resyncs += rep.resyncs;
+    chaos_episodes += rep.chaos_episodes;
+    events += rep.events;
     reports_applied_total += rep.reports_applied;
     versions_total += rep.versions;
     batches += rep.batches_sent;
@@ -489,221 +450,96 @@ RunResult run_fleet(const Options& opt) {
     e2e_ms.insert(e2e_ms.end(), rep.e2e_ms.begin(), rep.e2e_ms.end());
     field_ms.insert(field_ms.end(), rep.field_ms.begin(), rep.field_ms.end());
   }
-
-  // --- batching efficiency --------------------------------------------
-  result.batch_ratio =
-      versions_total > 0 ? static_cast<double>(reports_applied_total) /
-                               static_cast<double>(versions_total)
-                         : 0.0;
-  const bool ratio_ok = result.batch_ratio >= opt.min_batch_ratio;
-  char ratio_buf[32], want_buf[32];
-  std::snprintf(ratio_buf, sizeof ratio_buf, "%.1f", result.batch_ratio);
-  std::snprintf(want_buf, sizeof want_buf, ">= %.1f", opt.min_batch_ratio);
-  table.row({"deltas per ordered update", ratio_buf, want_buf,
-             ratio_ok ? "yes" : "NO"});
-  result.shape = result.shape && ratio_ok;
-
-  const bench::LatencyStats e2e = bench::latency_stats(e2e_ms);
-  result.p99_ms = e2e.p99_ms;
-  result.p50_ms = e2e.median_ms;
-  result.latency_samples = e2e.samples;
   table.print();
 
   bench::LatencyReporter latency;
-  latency.add("update submit->f+1 display", e2e_ms);
+  const bench::LatencyStats e2e =
+      latency.add("update submit->f+1 display", e2e_ms);
   latency.add("field delta->f+1 display", field_ms);
   latency.print("fleet latency");
 
   std::printf("fleet: %llu reports emitted, %llu shed, %llu batches, "
               "%llu chaos episodes (%llu outputs muted), %llu resyncs\n",
-              static_cast<unsigned long long>(result.reports_emitted),
-              static_cast<unsigned long long>(result.reports_shed),
+              static_cast<unsigned long long>(reports_emitted),
+              static_cast<unsigned long long>(reports_shed),
               static_cast<unsigned long long>(batches),
-              static_cast<unsigned long long>(result.chaos_episodes),
+              static_cast<unsigned long long>(chaos_episodes),
               static_cast<unsigned long long>(outputs_dropped),
-              static_cast<unsigned long long>(result.resyncs));
-  return result;
-}
+              static_cast<unsigned long long>(resyncs));
 
-// Minimal flat-JSON number lookup for the committed baseline file:
-// finds "key": <number> anywhere in the file.
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
+  report.run("devices_" + std::to_string(opt.devices));
+  report.measured("p50_ms", e2e.median_ms);
+  report.measured("samples", static_cast<double>(e2e.samples));
+  report.measured("reports", static_cast<double>(reports_sent));
+  report.measured("shed", static_cast<double>(reports_shed));
+  report.measured("deltas_complete", static_cast<double>(deltas_complete));
+  report.measured("resyncs", static_cast<double>(resyncs));
+  report.measured("chaos_episodes", static_cast<double>(chaos_episodes));
+  report.measured("events_per_sec",
+                  wall_seconds > 0 ? static_cast<double>(events) / wall_seconds
+                                   : 0.0);
+  report.measured("wall_seconds", wall_seconds);
+  report.check("conservation", shape);
+  // Batching efficiency: device deltas per ordered Prime update.
+  report.at_least("batch_ratio",
+                  versions_total > 0
+                      ? static_cast<double>(reports_applied_total) /
+                            static_cast<double>(versions_total)
+                      : 0.0,
+                  3.0);
+  report.at_most("p99_ms", e2e.p99_ms, 100.0);
+  report.run("");
+  return e2e.p99_ms;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
-
+  const bench::Args args(
+      argc, argv,
+      {"--devices=N[,N...]", "--hmis=N", "--instances=N", "--workers=N",
+       "--duration-seconds=S", "--chaos", "--chaos-seed=SEED", "--json=PATH"});
   Options opt;
-  opt.devices = std::strtoul(
-      bench::flag_value(argc, argv, "--devices", "1000"), nullptr, 10);
-  opt.hmis =
-      std::strtoul(bench::flag_value(argc, argv, "--hmis", "50"), nullptr, 10);
-  opt.instances = std::strtoul(
-      bench::flag_value(argc, argv, "--instances", "1"), nullptr, 10);
-  opt.workers = static_cast<unsigned>(std::strtoul(
-      bench::flag_value(argc, argv, "--workers", "1"), nullptr, 10));
+  opt.hmis = args.num("--hmis", 50);
+  opt.instances = std::max<std::uint64_t>(1, args.num("--instances", 1));
+  opt.workers =
+      static_cast<unsigned>(std::max<std::uint64_t>(1, args.num("--workers", 1)));
   opt.duration =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--duration-seconds", "15"), nullptr,
-          10)) *
-      sim::kSecond;
-  opt.batch_window =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--batch-window-ms", "20"), nullptr,
-          10)) *
-      sim::kMillisecond;
-  opt.max_batch = std::strtoul(
-      bench::flag_value(argc, argv, "--max-batch", "256"), nullptr, 10);
-  opt.rate =
-      std::strtoull(bench::flag_value(argc, argv, "--rate", "0"), nullptr, 10);
-  opt.burst = std::strtoull(bench::flag_value(argc, argv, "--burst", "64"),
-                            nullptr, 10);
-  opt.publish_min = std::strtoull(
-      bench::flag_value(argc, argv, "--publish-min", "1"), nullptr, 10);
-  opt.report_interval =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--report-interval-ms", "500"),
-          nullptr, 10)) *
-      sim::kMillisecond;
-  opt.min_batch_ratio = std::strtod(
-      bench::flag_value(argc, argv, "--min-batch-ratio", "3.0"), nullptr);
-  opt.chaos = bench::has_flag(argc, argv, "--chaos");
-  if (bench::has_flag(argc, argv, "--chaos-seed")) {
-    opt.chaos = true;
-    opt.chaos_seed = std::strtoull(
-        bench::flag_value(argc, argv, "--chaos-seed", "0"), nullptr, 10);
-  }
-  if (opt.instances == 0) opt.instances = 1;
-  if (opt.workers == 0) opt.workers = 1;
-  const double max_p99_ratio = std::strtod(
-      bench::flag_value(argc, argv, "--max-p99-ratio", "2.0"), nullptr);
-
-  // --curve=1000,5000,10000 sweeps total device counts (same HMI count
-  // and duration) and gates p99 flatness across the curve.
-  std::vector<std::size_t> curve;
-  for (const char* p = bench::flag_value(argc, argv, "--curve", ""); *p != '\0';) {
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(p, &end, 10);
-    if (end == p) break;
-    if (n > 0) curve.push_back(n);
-    p = (*end == ',') ? end + 1 : end;
-  }
-  if (curve.empty()) curve.push_back(opt.devices);
+      static_cast<sim::Time>(args.num("--duration-seconds", 15)) * sim::kSecond;
+  opt.chaos = args.has("--chaos") || args.has("--chaos-seed");
+  opt.chaos_seed = args.num("--chaos-seed", opt.chaos_seed);
+  // Several device counts (e.g. 1000,5000,10000) sweep the scaling
+  // curve with the same HMI count and duration, and gate p99 flatness.
+  const std::vector<std::uint64_t> curve = args.nums("--devices", 1000);
 
   bench::print_header(
-      "E9", "fleet-scale field layer (DESIGN.md §9)",
+      "F1", "fleet-scale field layer (DESIGN.md §9)",
       "Sharded device image + delta batching + proxy front door sustain "
       "10k devices and 1k HMIs with zero missed deltas and flat p99");
+  bench::Report report(args, "bench_fleet_field");
+  report.config("hmis", static_cast<double>(opt.hmis));
+  report.config("instances", static_cast<double>(opt.instances));
+  report.config("duration_seconds",
+                static_cast<double>(opt.duration / sim::kSecond));
+  report.config("chaos", opt.chaos ? 1 : 0);
 
-  std::vector<RunResult> runs;
-  bool shape = true;
-  for (const std::size_t devices : curve) {
+  std::vector<double> p99s;
+  for (const std::uint64_t devices : curve) {
     Options run_opt = opt;
     run_opt.devices = devices;
     run_opt.banner = curve.size() > 1;
-    runs.push_back(run_fleet(run_opt));
-    shape = shape && runs.back().shape;
+    p99s.push_back(run_fleet(run_opt, report));
   }
 
-  double p99_ratio = 1.0;
-  if (runs.size() > 1 && runs.front().p99_ms > 0) {
-    p99_ratio = runs.back().p99_ms / runs.front().p99_ms;
-    const bool flat = p99_ratio <= max_p99_ratio;
-    std::printf("\np99 scaling %zu->%zu devices: %.1f ms -> %.1f ms "
-                "(ratio %.2f, max %.2f): %s\n",
-                runs.front().devices, runs.back().devices, runs.front().p99_ms,
-                runs.back().p99_ms, p99_ratio, max_p99_ratio,
-                flat ? "FLAT" : "VIOLATED");
-    shape = shape && flat;
-  }
-
-  // Committed-baseline gate (CI): absolute bounds from the repo.
-  const char* baseline_path = bench::flag_value(argc, argv, "--baseline", "");
-  if (baseline_path[0] != '\0') {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path);
-      shape = false;
-    } else {
-      std::string text((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-      double v = 0;
-      if (baseline_value(text, "p99_ms_max", &v)) {
-        const double worst =
-            std::max_element(runs.begin(), runs.end(),
-                             [](const RunResult& a, const RunResult& b) {
-                               return a.p99_ms < b.p99_ms;
-                             })
-                ->p99_ms;
-        const bool ok = worst <= v;
-        std::printf("baseline p99: %.1f ms (max %.1f ms): %s\n", worst, v,
-                    ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
-      if (baseline_value(text, "batch_ratio_min", &v)) {
-        const double worst =
-            std::min_element(runs.begin(), runs.end(),
-                             [](const RunResult& a, const RunResult& b) {
-                               return a.batch_ratio < b.batch_ratio;
-                             })
-                ->batch_ratio;
-        const bool ok = worst >= v;
-        std::printf("baseline batch ratio: %.1f (min %.1f): %s\n", worst, v,
-                    ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
-      if (baseline_value(text, "curve_p99_ratio_max", &v) && runs.size() > 1) {
-        const bool ok = p99_ratio <= v;
-        std::printf("baseline curve p99 ratio: %.2f (max %.2f): %s\n",
-                    p99_ratio, v, ok ? "OK" : "REGRESSED");
-        shape = shape && ok;
-      }
-    }
-  }
-
-  if (bench::has_flag(argc, argv, "--json")) {
-    const char* json_path =
-        bench::flag_value(argc, argv, "--json", "FLEET_summary.json");
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"fleet_field\",\n  \"hmis\": " << opt.hmis
-        << ",\n  \"chaos\": " << (opt.chaos ? "true" : "false")
-        << ",\n  \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const RunResult& r = runs[i];
-      char line[512];
-      std::snprintf(
-          line, sizeof line,
-          "    {\"devices\": %zu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-          "\"samples\": %zu, \"batch_ratio\": %.2f, \"reports\": %llu, "
-          "\"shed\": %llu, \"deltas_complete\": %llu, \"resyncs\": %llu, "
-          "\"chaos_episodes\": %llu, \"events_per_sec\": %.0f, "
-          "\"wall_seconds\": %.3f, \"shape\": %s}%s\n",
-          r.devices, r.p50_ms, r.p99_ms, r.latency_samples, r.batch_ratio,
-          static_cast<unsigned long long>(r.reports_sent),
-          static_cast<unsigned long long>(r.reports_shed),
-          static_cast<unsigned long long>(r.deltas_complete),
-          static_cast<unsigned long long>(r.resyncs),
-          static_cast<unsigned long long>(r.chaos_episodes),
-          r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
-                             : 0.0,
-          r.wall_seconds, r.shape ? "true" : "false",
-          i + 1 < runs.size() ? "," : "");
-      out << line;
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote fleet summary to %s\n", json_path);
+  if (p99s.size() > 1 && p99s.front() > 0) {
+    std::printf("\np99 scaling %llu->%llu devices: %.1f ms -> %.1f ms\n",
+                static_cast<unsigned long long>(curve.front()),
+                static_cast<unsigned long long>(curve.back()), p99s.front(),
+                p99s.back());
+    report.at_most("p99_ratio", p99s.back() / p99s.front(), 2.0);
   }
 
   std::printf("\nShape check: fleet-scale field layer with zero missed "
-              "deltas: %s\n", shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              "deltas: %s\n", report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

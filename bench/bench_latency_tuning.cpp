@@ -77,7 +77,7 @@ Outcome run_setting(const TimerSetting& setting) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "A1 (ablation)", "DESIGN.md §5 / Prime timers",
       "Protocol-timer cadence trades supervisory-command latency against "

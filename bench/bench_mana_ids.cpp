@@ -1,7 +1,7 @@
 // Experiment E8 — §II, §III-C, §IV (streaming MANA + detection-quality
 // scoreboard, DESIGN.md §13).
 //
-// Two phases, both gated against bench/baseline_mana.json:
+// Two phases, both gated (the bench exits 1 when any gate fails):
 //
 //   Phase 1 (line rate): a synthetic 10,000-device fleet streams
 //   through the CaptureTap ring into the full scoring pipeline
@@ -20,18 +20,14 @@
 //   (quiet gaps between scenarios count toward precision) and a
 //   per-scenario detection-latency SLO.
 //
-// Run:  bench_mana_ids [--json=PATH] [--baseline=PATH] [--fail-below]
-//                      [--trace-out=PATH]
+// Run:  bench_mana_ids [--json=PATH] [--trace-out=PATH]
 //
 // --trace-out writes the obs::Tracer JSONL including attack-begin /
 // attack-end / alert markers, so the attack → alert chain is visible
 // next to the deployment's spans.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "attack/attacker.hpp"
 #include "bench_util.hpp"
@@ -50,31 +46,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct Gates {
-  double soak_mframes_per_sec_min = 0.5;
-  double precision_min = 0.9;
-  double recall_min = 0.9;
-  double unaccounted_frames_max = 0.0;
-  double port_scan_fast_latency_s_max = 2.0;
-  double port_scan_slow_latency_s_max = 3.0;
-  double arp_poison_latency_s_max = 1.5;
-  double mitm_latency_s_max = 2.0;
-  double dos_flood_latency_s_max = 2.5;
-  double dos_low_latency_s_max = 2.5;
-  double ip_spoof_burst_latency_s_max = 2.0;
-  double rogue_probe_latency_s_max = 1.5;
-};
-
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 // ---- Phase 1: line-rate soak ------------------------------------------------
 
 struct SoakResult {
@@ -89,14 +60,13 @@ struct SoakResult {
   std::uint64_t windows_scored = 0;
   std::uint64_t sampled_windows = 0;
   std::uint64_t alerts = 0;
-  bool pass = false;
 };
 
 /// 10k devices across fifty /24 "substations", every device polling a
 /// master twice a second. Frames are prebuilt so the measured loop is
 /// the capture pipeline (summarize + ring + features + rules), not
 /// datagram encoding.
-SoakResult run_soak(const Gates& gates) {
+SoakResult run_soak() {
   constexpr std::size_t kDevices = 10000;
   constexpr std::size_t kPerSubstation = 200;
   constexpr std::size_t kFramesPerTick = 2000;  // 100 ms tick → 20k fps
@@ -183,10 +153,6 @@ SoakResult run_soak(const Gates& gates) {
   r.windows_scored = ids.stats().windows_scored;
   r.sampled_windows = ids.stats().sampled_windows_scored;
   r.alerts = ids.stats().alerts_total;
-  r.pass = r.mframes_per_sec >= gates.soak_mframes_per_sec_min &&
-           static_cast<double>(r.unaccounted) <= gates.unaccounted_frames_max &&
-           r.sampling_entered > 0 && r.sampled_out > 0 &&
-           r.sampled_windows > 0;
   return r;
 }
 
@@ -198,7 +164,6 @@ struct ScenarioResult {
   double latency_s = 0;
   double slo_s = 0;
   std::string first_kind;
-  bool pass = false;
 };
 
 struct CampaignResult {
@@ -208,7 +173,6 @@ struct CampaignResult {
   std::uint64_t quiet_alerts = 0;
   std::size_t quiet_windows = 0;
   double mean_latency_s = 0;
-  bool pass = false;
 };
 
 /// Folds the per-primitive labels one scenario emits (a MITM scenario
@@ -262,7 +226,8 @@ void restore_arp(net::Host& from, std::size_t iface, net::IpAddress ip,
   from.send_frame_raw(iface, frame);
 }
 
-CampaignResult run_campaign(const Gates& gates, const std::string& trace_path) {
+CampaignResult run_campaign(bench::Report& report,
+                            const std::string& trace_path) {
   using mana::AlertKind;
 
   sim::Simulator sim;
@@ -446,33 +411,27 @@ CampaignResult run_campaign(const Gates& gates, const std::string& trace_path) {
   ids.flush_until(sim.now());
   board.finalize(sim.now());
 
-  const struct {
+  // Per-scenario detection-latency SLOs (seconds).
+  constexpr struct {
     const char* name;
     double slo_s;
-  } slos[] = {
-      {"port_scan_fast", gates.port_scan_fast_latency_s_max},
-      {"port_scan_slow", gates.port_scan_slow_latency_s_max},
-      {"arp_poison", gates.arp_poison_latency_s_max},
-      {"mitm", gates.mitm_latency_s_max},
-      {"dos_flood", gates.dos_flood_latency_s_max},
-      {"dos_low", gates.dos_low_latency_s_max},
-      {"ip_spoof_burst", gates.ip_spoof_burst_latency_s_max},
-      {"rogue_probe", gates.rogue_probe_latency_s_max},
+  } kSlos[] = {
+      {"port_scan_fast", 2.0}, {"port_scan_slow", 3.0},
+      {"arp_poison", 1.5},     {"mitm", 2.0},
+      {"dos_flood", 2.5},      {"dos_low", 2.5},
+      {"ip_spoof_burst", 2.0}, {"rogue_probe", 1.5},
   };
-  out.pass = true;
   for (const auto& outcome : board.outcomes()) {
     ScenarioResult r;
     r.name = outcome.name;
     r.detected = outcome.detected;
     r.latency_s = static_cast<double>(outcome.latency) / sim::kSecond;
     r.slo_s = 0;
-    for (const auto& slo : slos) {
+    for (const auto& slo : kSlos) {
       if (r.name == slo.name) r.slo_s = slo.slo_s;
     }
     r.first_kind =
         outcome.detected ? std::string(mana::to_string(outcome.first_kind)) : "-";
-    r.pass = r.detected && r.latency_s <= r.slo_s;
-    out.pass = out.pass && r.pass;
     out.scenarios.push_back(std::move(r));
   }
 
@@ -482,80 +441,50 @@ CampaignResult run_campaign(const Gates& gates, const std::string& trace_path) {
   out.ensemble = board.ensemble();
   out.alerts_seen = board.alerts_seen();
   out.mean_latency_s = board.mean_latency_us() / 1e6;
-  out.pass = out.pass && out.ensemble.precision() >= gates.precision_min &&
-             out.ensemble.recall() >= gates.recall_min;
 
-  if (tracer && tracer->tracer().write_jsonl(trace_path)) {
-    std::printf("wrote trace %s\n", trace_path.c_str());
-  }
+  if (tracer) report.output(trace_path, tracer->tracer().write_jsonl(trace_path));
   return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {"--json=PATH", "--trace-out=PATH"});
   bench::print_header(
       "E8", "§II / §III-C / §IV",
       "Streaming MANA: line-rate capture with explicit overload "
       "accounting, and an eight-scenario red-team campaign scored for "
       "precision / recall / detection latency");
-
-  Gates gates;
-  const std::string baseline_path =
-      bench::flag_value(argc, argv, "--baseline", "");
-  const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "soak_mframes_per_sec_min",
-                   &gates.soak_mframes_per_sec_min);
-    baseline_value(text, "precision_min", &gates.precision_min);
-    baseline_value(text, "recall_min", &gates.recall_min);
-    baseline_value(text, "unaccounted_frames_max",
-                   &gates.unaccounted_frames_max);
-    baseline_value(text, "port_scan_fast_latency_s_max",
-                   &gates.port_scan_fast_latency_s_max);
-    baseline_value(text, "port_scan_slow_latency_s_max",
-                   &gates.port_scan_slow_latency_s_max);
-    baseline_value(text, "arp_poison_latency_s_max",
-                   &gates.arp_poison_latency_s_max);
-    baseline_value(text, "mitm_latency_s_max", &gates.mitm_latency_s_max);
-    baseline_value(text, "dos_flood_latency_s_max",
-                   &gates.dos_flood_latency_s_max);
-    baseline_value(text, "dos_low_latency_s_max",
-                   &gates.dos_low_latency_s_max);
-    baseline_value(text, "ip_spoof_burst_latency_s_max",
-                   &gates.ip_spoof_burst_latency_s_max);
-    baseline_value(text, "rogue_probe_latency_s_max",
-                   &gates.rogue_probe_latency_s_max);
-  }
+  bench::Report report(args, "bench_mana_ids");
+  report.config("devices", 10000);
+  report.config("scenarios", 8);
 
   std::printf("phase 1: 10k-device line-rate soak...\n");
-  const SoakResult soak = run_soak(gates);
+  const SoakResult soak = run_soak();
   std::printf(
-      "  %.2f Mframes/s (min %.2f), mirrored %llu, dropped %llu, "
-      "sampled-out %llu, sampling entered %llux, sampled windows %llu, "
-      "unaccounted %llu → %s\n\n",
-      soak.mframes_per_sec, gates.soak_mframes_per_sec_min,
-      static_cast<unsigned long long>(soak.mirrored),
+      "  %.2f Mframes/s, mirrored %llu, dropped %llu, sampled-out %llu, "
+      "sampling entered %llux, sampled windows %llu, unaccounted %llu\n",
+      soak.mframes_per_sec, static_cast<unsigned long long>(soak.mirrored),
       static_cast<unsigned long long>(soak.dropped),
       static_cast<unsigned long long>(soak.sampled_out),
       static_cast<unsigned long long>(soak.sampling_entered),
       static_cast<unsigned long long>(soak.sampled_windows),
-      static_cast<unsigned long long>(soak.unaccounted),
-      soak.pass ? "PASS" : "FAIL");
+      static_cast<unsigned long long>(soak.unaccounted));
+  report.measured("soak_mirrored", static_cast<double>(soak.mirrored));
+  report.measured("soak_dropped", static_cast<double>(soak.dropped));
+  report.measured("soak_sampled_out", static_cast<double>(soak.sampled_out));
+  report.measured("soak_sampled_windows",
+                  static_cast<double>(soak.sampled_windows));
+  report.at_least("soak_mframes_per_sec", soak.mframes_per_sec, 1.5);
+  report.at_most("soak_unaccounted_frames",
+                 static_cast<double>(soak.unaccounted), 0);
+  report.check("soak_sampling_engaged", soak.sampling_entered > 0 &&
+                                            soak.sampled_out > 0 &&
+                                            soak.sampled_windows > 0);
 
-  std::printf("phase 2: scored red-team campaign...\n");
-  const std::string trace_path =
-      bench::flag_value(argc, argv, "--trace-out", "");
-  const CampaignResult camp = run_campaign(gates, trace_path);
+  std::printf("\nphase 2: scored red-team campaign...\n");
+  const CampaignResult camp =
+      run_campaign(report, args.str("--trace-out", ""));
 
   bench::Table table(
       {"scenario", "detected", "first kind", "latency", "SLO", "verdict"});
@@ -568,8 +497,9 @@ int main(int argc, char** argv) {
       std::snprintf(latency, sizeof(latency), "-");
     }
     std::snprintf(slo, sizeof(slo), "%.1f s", r.slo_s);
+    const bool pass = r.detected && r.latency_s <= r.slo_s;
     table.row({r.name, r.detected ? "yes" : "MISSED", r.first_kind, latency,
-               slo, r.pass ? "PASS" : "FAIL"});
+               slo, pass ? "PASS" : "FAIL"});
   }
   table.print();
 
@@ -589,68 +519,26 @@ int main(int argc, char** argv) {
     std::snprintf(f, sizeof(f), "%.3f", row.s->f1());
     detectors.row({row.name, std::to_string(row.s->true_positives),
                    std::to_string(row.s->false_positives), p, r, f});
+    report.measured(std::string(row.name) + ".precision", row.s->precision());
+    report.measured(std::string(row.name) + ".recall", row.s->recall());
+    report.measured(std::string(row.name) + ".f1", row.s->f1());
   }
   detectors.print();
 
   std::printf(
       "\nquiet phase: %zu windows, %llu alerts; campaign: %llu alerts, "
-      "mean detection latency %.2f s\n",
+      "mean detection latency %.2f s\n\n",
       camp.quiet_windows, static_cast<unsigned long long>(camp.quiet_alerts),
       static_cast<unsigned long long>(camp.alerts_seen), camp.mean_latency_s);
-  std::printf("ensemble precision %.3f (min %.2f), recall %.3f (min %.2f)\n",
-              camp.ensemble.precision(), gates.precision_min,
-              camp.ensemble.recall(), gates.recall_min);
-
-  const bool all_pass = soak.pass && camp.pass;
-
-  const std::string json_path = bench::flag_value(argc, argv, "--json", "");
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out != nullptr) {
-      std::fprintf(out,
-                   "{\"bench\":\"bench_mana_ids\",\"schema_version\":1,"
-                   "\"soak\":{\"mframes_per_sec\":%.3f,\"mirrored\":%llu,"
-                   "\"dropped\":%llu,\"sampled_out\":%llu,"
-                   "\"sampling_entered\":%llu,\"sampled_windows\":%llu,"
-                   "\"unaccounted\":%llu,\"pass\":%s},",
-                   soak.mframes_per_sec,
-                   static_cast<unsigned long long>(soak.mirrored),
-                   static_cast<unsigned long long>(soak.dropped),
-                   static_cast<unsigned long long>(soak.sampled_out),
-                   static_cast<unsigned long long>(soak.sampling_entered),
-                   static_cast<unsigned long long>(soak.sampled_windows),
-                   static_cast<unsigned long long>(soak.unaccounted),
-                   soak.pass ? "true" : "false");
-      std::fprintf(out, "\"detectors\":{");
-      for (std::size_t i = 0; i < 4; ++i) {
-        const auto& row = rows[i];
-        std::fprintf(out,
-                     "%s\"%s\":{\"true_positives\":%llu,"
-                     "\"false_positives\":%llu,\"precision\":%.4f,"
-                     "\"recall\":%.4f,\"f1\":%.4f}",
-                     i == 0 ? "" : ",", row.name,
-                     static_cast<unsigned long long>(row.s->true_positives),
-                     static_cast<unsigned long long>(row.s->false_positives),
-                     row.s->precision(), row.s->recall(), row.s->f1());
-      }
-      std::fprintf(out, "},\"scenarios\":{");
-      for (std::size_t i = 0; i < camp.scenarios.size(); ++i) {
-        const auto& r = camp.scenarios[i];
-        std::fprintf(out,
-                     "%s\"%s\":{\"detected\":%s,\"latency_s\":%.3f,"
-                     "\"first_kind\":\"%s\",\"pass\":%s}",
-                     i == 0 ? "" : ",", r.name.c_str(),
-                     r.detected ? "true" : "false", r.latency_s,
-                     r.first_kind.c_str(), r.pass ? "true" : "false");
-      }
-      std::fprintf(out, "},\"all_pass\":%s}\n", all_pass ? "true" : "false");
-      std::fclose(out);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+  report.measured("mean_detection_latency_s", camp.mean_latency_s);
+  for (const auto& r : camp.scenarios) {
+    report.check(r.name + ".detected", r.detected);
+    report.at_most(r.name + ".latency_s", r.latency_s, r.slo_s);
   }
+  report.at_least("ensemble_precision", camp.ensemble.precision(), 0.9);
+  report.at_least("ensemble_recall", camp.ensemble.recall(), 0.9);
 
   std::printf("\nstreaming MANA: %s\n",
-              all_pass ? "ALL GATES PASS" : "GATE FAILURES");
-  if (!all_pass && (fail_below || !baseline_path.empty())) return 1;
-  return all_pass ? 0 : 1;
+              report.pass() ? "ALL GATES PASS" : "GATE FAILURES");
+  return report.finish();
 }

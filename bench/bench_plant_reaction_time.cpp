@@ -10,6 +10,8 @@
 //
 // Paper result: Spire met the plant's timing requirements and
 // reflected changes FASTER than the commercial system.
+//
+// Run:  bench_plant_reaction_time [--json=PATH]
 #include "bench_util.hpp"
 #include "scada/commercial.hpp"
 #include "scada/deployment.hpp"
@@ -17,11 +19,12 @@
 using namespace spire;
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {"--json=PATH"});
   bench::print_header(
       "E7", "§V (measurement device)",
       "Breaker flip -> HMI update: Spire meets the plant's timing "
       "requirement and beats the commercial system's reaction time");
+  bench::Report report(args, "bench_plant_reaction_time");
 
   sim::Simulator sim;
 
@@ -95,8 +98,8 @@ int main(int argc, char** argv) {
 
   std::vector<double> spire_ms, commercial_ms;
   bool state = false;
-  const int kTrials = 40;
-  for (int trial = 0; trial < kTrials; ++trial) {
+  constexpr std::size_t kTrials = 40;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
     state = !state;
     spire_seen = commercial_seen = 0;
     const sim::Time flipped = sim.now();
@@ -122,33 +125,32 @@ int main(int argc, char** argv) {
   const char* kSpireName = "Spire (n=6, f=1, k=1, recoveries active)";
   const char* kCommercialName = "commercial (primary-backup, 1s polls)";
   bench::LatencyReporter reporter;
-  reporter.add(kSpireName, std::move(spire_ms));
-  reporter.add(kCommercialName, std::move(commercial_ms));
+  const bench::LatencyStats spire_stats =
+      reporter.add(kSpireName, std::move(spire_ms));
+  const bench::LatencyStats commercial_stats =
+      reporter.add(kCommercialName, std::move(commercial_ms));
   reporter.print("flip -> HMI");
-  const bench::LatencyStats spire_stats = *reporter.find(kSpireName);
-  const bench::LatencyStats commercial_stats = *reporter.find(kCommercialName);
+  report.measured("spire", spire_stats);
+  report.measured("commercial", commercial_stats);
   std::printf("meets plant requirement (<3s max): Spire %s, commercial %s\n",
               spire_stats.max_ms < 3000.0 ? "yes" : "NO",
               commercial_stats.max_ms < 3000.0 ? "yes" : "NO");
-  if (bench::has_flag(argc, argv, "--json")) {
-    reporter.write_json(
-        bench::flag_value(argc, argv, "--json", "BENCH_reaction_time.json"),
-        "bench_plant_reaction_time");
-  }
 
   std::printf("\nBreaker flip -> HMI path, Spire: actuation physics (~40ms) "
               "+ proxy poll (<=200ms) + Prime ordering + f+1 HMI voting.\n");
   std::printf("Breaker flip -> HMI path, commercial: actuation + master poll "
               "(<=1s) + HMI poll (<=1s).\n");
 
-  const bool shape =
-      spire_stats.samples == static_cast<std::size_t>(kTrials) &&
-      commercial_stats.samples == static_cast<std::size_t>(kTrials) &&
-      spire_stats.median_ms < commercial_stats.median_ms &&
-      spire_stats.max_ms < 2000.0;
+  std::printf("\n");
+  report.check("spire_reports_every_change", spire_stats.samples == kTrials);
+  report.check("commercial_reports_every_change",
+               commercial_stats.samples == kTrials);
+  report.check("spire_median_below_commercial",
+               spire_stats.median_ms < commercial_stats.median_ms);
+  report.check("spire_max_below_2000_ms", spire_stats.max_ms < 2000.0);
   std::printf("\nShape check vs paper: both systems report every change; "
               "Spire meets the timing requirement and is faster than the "
               "commercial system: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

@@ -14,21 +14,25 @@
 //   * proactive recovery cycles through all replicas repeatedly,
 //   * replica application states stay byte-identical.
 //
-// Fleet options (DESIGN.md §8):
+// Options (fleet ones: DESIGN.md §8):
+//   * --chaos, --chaos-seed=S  randomized partitions and link degrades.
 //   * --fleet=F        stand up F independent plant deployments, each
 //                      on its own simulator with its own metrics
 //                      registry and tracer. Plant i's metrics and trace
 //                      depend only on the seed and i: plant 0 matches
 //                      the single-plant run byte for byte.
 //   * --workers=N      run the fleet's plants on N threads (plant i on
-//                      thread i % N). Output is identical at any N.
+//                      thread i % N). Output is identical at any N. A
+//                      list (--workers=1,2,4) runs the soak once per
+//                      worker count and records the scaling curve.
 //   * --soak-minutes=M scale the soak length (shape gates scale too).
-//   * --workers-list=1,2,4  run the soak once per worker count and
-//                      record the scaling curve in the --json summary.
+//   * --metrics-json=PATH, --trace-out=PATH  per-plant registry
+//                      snapshot and JSONL spans (a fleet suffixes .i).
+//   * --json=PATH      the bench report.
+// The bench exits 1 when a shape gate fails or an output cannot be
+// written.
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -50,10 +54,8 @@ struct SoakOptions {
   unsigned workers = 1;
   std::size_t fleet = 1;
   sim::Time soak = 5 * sim::kMinute;
-  bool want_metrics = false;
-  bool want_trace = false;
-  const char* metrics_path = "SOAK_metrics.json";
-  const char* trace_path = "SOAK_trace.jsonl";
+  std::string metrics_path;  ///< empty: no metrics snapshot
+  std::string trace_path;    ///< empty: no trace
   bool banner = false;  // printed when scanning multiple worker counts
 };
 
@@ -62,6 +64,8 @@ struct SoakResult {
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t recoveries = 0;
+  /// Output files the plants wrote, and whether each write succeeded.
+  std::vector<std::pair<std::string, bool>> outputs;
 };
 
 // Per-HMI transition tracking against field ground truth.
@@ -256,24 +260,21 @@ SoakResult run_plant(const SoakOptions& opt, std::size_t index,
   }
   stage_report.print("pipeline stage", out);
 
+  SoakResult result;
   // A fleet suffixes each plant's output files with its index.
   const std::string suffix =
       opt.fleet == 1 ? std::string() : "." + std::to_string(index);
-  if (opt.want_metrics) {
+  if (!opt.metrics_path.empty()) {
     const std::string path = opt.metrics_path + suffix;
-    std::ofstream file(path);
-    file << registry_scope.registry().snapshot_json();
-    std::fprintf(out, "wrote metrics snapshot to %s\n", path.c_str());
+    result.outputs.emplace_back(
+        path,
+        bench::write_file(path, registry_scope.registry().snapshot_json()));
   }
-  if (opt.want_trace) {
+  if (!opt.trace_path.empty()) {
     const std::string path = opt.trace_path + suffix;
-    if (tracer.write_jsonl(path)) {
-      std::fprintf(out, "wrote %zu trace spans to %s\n", tracer.spans().size(),
-                   path.c_str());
-    }
+    result.outputs.emplace_back(path, tracer.write_jsonl(path));
   }
 
-  SoakResult result;
   result.shape = recovery.recoveries_completed() >= min_recoveries &&
                  completeness.executed > 0 &&
                  completeness.executed_complete == completeness.executed &&
@@ -320,6 +321,8 @@ SoakResult run_soak(const SoakOptions& opt) {
     result.shape = result.shape && plant.shape;
     result.events += plant.events;
     result.recoveries += plant.recoveries;
+    result.outputs.insert(result.outputs.end(), plant.outputs.begin(),
+                          plant.outputs.end());
   }
   std::printf("\nShape check vs paper: uninterrupted operation across the "
               "scaled soak, through %llu proactive recoveries, with all "
@@ -332,92 +335,51 @@ SoakResult run_soak(const SoakOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bench::Args args(
+      argc, argv,
+      {"--chaos", "--chaos-seed=SEED", "--workers=N[,N...]", "--fleet=N",
+       "--soak-minutes=M", "--metrics-json=PATH", "--trace-out=PATH",
+       "--json=PATH"});
   SoakOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--chaos") == 0) {
-      opt.chaos = true;
-    } else if (std::strncmp(argv[i], "--chaos-seed=", 13) == 0) {
-      opt.chaos = true;
-      opt.chaos_seed = std::strtoull(argv[i] + 13, nullptr, 10);
-    }
-  }
-  opt.workers = static_cast<unsigned>(
-      std::strtoul(bench::flag_value(argc, argv, "--workers", "1"), nullptr, 10));
-  opt.fleet = static_cast<std::size_t>(
-      std::strtoul(bench::flag_value(argc, argv, "--fleet", "1"), nullptr, 10));
-  if (opt.workers == 0) opt.workers = 1;
-  if (opt.fleet == 0) opt.fleet = 1;
-  opt.soak = static_cast<sim::Time>(std::strtoul(
-                 bench::flag_value(argc, argv, "--soak-minutes", "5"), nullptr,
-                 10)) *
-             sim::kMinute;
-  if (opt.soak < sim::kMinute) opt.soak = sim::kMinute;
-  opt.want_metrics = bench::has_flag(argc, argv, "--metrics-json");
-  opt.want_trace = bench::has_flag(argc, argv, "--trace-out");
-  opt.metrics_path =
-      bench::flag_value(argc, argv, "--metrics-json", "SOAK_metrics.json");
-  opt.trace_path =
-      bench::flag_value(argc, argv, "--trace-out", "SOAK_trace.jsonl");
-  const bool want_json = bench::has_flag(argc, argv, "--json");
-  const char* json_path =
-      bench::flag_value(argc, argv, "--json", "SOAK_summary.json");
+  opt.chaos = args.has("--chaos") || args.has("--chaos-seed");
+  opt.chaos_seed = args.num("--chaos-seed", opt.chaos_seed);
+  opt.fleet = std::max<std::uint64_t>(1, args.num("--fleet", 1));
+  opt.soak = std::max<sim::Time>(
+      sim::kMinute,
+      static_cast<sim::Time>(args.num("--soak-minutes", 5)) * sim::kMinute);
+  opt.metrics_path = args.str("--metrics-json", "");
+  opt.trace_path = args.str("--trace-out", "");
+  const std::vector<std::uint64_t> worker_counts = args.nums("--workers", 1);
 
-  // --workers-list=1,2,4 runs the soak once per worker count (same seed
-  // and fleet) and records the scaling curve in the --json summary.
-  std::vector<unsigned> worker_counts;
-  const char* list = bench::flag_value(argc, argv, "--workers-list", "");
-  for (const char* p = list; *p != '\0';) {
-    char* end = nullptr;
-    const unsigned long w = std::strtoul(p, &end, 10);
-    if (end == p) break;
-    if (w > 0) worker_counts.push_back(static_cast<unsigned>(w));
-    p = (*end == ',') ? end + 1 : end;
-  }
-  if (worker_counts.empty()) worker_counts.push_back(opt.workers);
-
-  bench::init_logging(argc, argv);
   bench::print_header(
       "E6", "§V (six-day deployment)",
       "Spire runs continuously under workload with proactive recovery and "
       "three HMIs, with no interruption of SCADA service");
+  bench::Report report(args, "bench_plant_soak");
+  report.config("fleet", static_cast<double>(opt.fleet));
+  report.config("soak_minutes", static_cast<double>(opt.soak / sim::kMinute));
+  report.config("chaos", opt.chaos ? 1 : 0);
 
-  std::vector<std::pair<unsigned, SoakResult>> runs;
-  bool shape = true;
-  for (const unsigned w : worker_counts) {
+  double first_wall = 0;
+  for (const std::uint64_t w : worker_counts) {
     SoakOptions run_opt = opt;
-    run_opt.workers = w;
+    run_opt.workers = static_cast<unsigned>(std::max<std::uint64_t>(1, w));
     run_opt.banner = worker_counts.size() > 1;
-    runs.emplace_back(w, run_soak(run_opt));
-    shape = shape && runs.back().second.shape;
+    const SoakResult r = run_soak(run_opt);
+    for (const auto& [path, written] : r.outputs) report.output(path, written);
+    if (first_wall == 0) first_wall = r.wall_seconds;
+    report.run("workers_" + std::to_string(run_opt.workers));
+    report.measured("wall_seconds", r.wall_seconds);
+    report.measured("events", static_cast<double>(r.events));
+    report.measured("events_per_sec",
+                    r.wall_seconds > 0
+                        ? static_cast<double>(r.events) / r.wall_seconds
+                        : 0.0);
+    report.measured("speedup_vs_first",
+                    r.wall_seconds > 0 ? first_wall / r.wall_seconds : 0.0);
+    report.measured("recoveries", static_cast<double>(r.recoveries));
+    report.check("shape", r.shape);
   }
-
-  if (want_json) {
-    std::ofstream out(json_path);
-    out << "{\n  \"bench\": \"plant_soak\",\n";
-    out << "  \"fleet\": " << opt.fleet << ",\n";
-    out << "  \"soak_minutes\": " << opt.soak / sim::kMinute << ",\n";
-    out << "  \"chaos\": " << (opt.chaos ? "true" : "false") << ",\n";
-    out << "  \"runs\": [\n";
-    const double base_wall = runs.front().second.wall_seconds;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const SoakResult& r = runs[i].second;
-      char line[512];
-      std::snprintf(
-          line, sizeof line,
-          "    {\"workers\": %u, \"wall_seconds\": %.3f, \"events\": %llu, "
-          "\"events_per_sec\": %.0f, \"speedup_vs_first\": %.3f, "
-          "\"recoveries\": %llu, \"shape\": %s}%s\n",
-          runs[i].first, r.wall_seconds,
-          static_cast<unsigned long long>(r.events),
-          r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds
-                             : 0.0,
-          r.wall_seconds > 0 ? base_wall / r.wall_seconds : 0.0,
-          static_cast<unsigned long long>(r.recoveries),
-          r.shape ? "true" : "false", i + 1 < runs.size() ? "," : "");
-      out << line;
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote soak summary to %s\n", json_path);
-  }
-  return shape ? 0 : 1;
+  report.run("");
+  return report.finish();
 }

@@ -1,6 +1,5 @@
 // Experiment R1 — §IV as a regression suite: the scripted red-team
-// scenarios, each with a pass/fail SLO, gated in CI against
-// bench/baseline_redteam.json.
+// scenarios, each with a pass/fail SLO.
 //
 // Where bench_fig3_redteam narrates the 2017 campaign (hardened vs
 // open ablation), this bench is the adversary-v2 counterpart: every
@@ -31,11 +30,8 @@
 //   8. frontdoor_dos       — telemetry flood at a fleet front door;
 //      rate limiting sheds the flood while zero critical deltas drop.
 //
-// Run:  bench_red_team [--json=PATH] [--baseline=PATH] [--fail-below]
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
+// Run:  bench_red_team [--json=PATH]
+// Exits 1 when any scenario or reaction-time bound fails.
 #include "attack/attacker.hpp"
 #include "bench_util.hpp"
 #include "prime/replica.hpp"
@@ -53,15 +49,6 @@ struct ScenarioResult {
   double reaction_ms = 0;  ///< 0 when the scenario has no reaction SLO
   std::uint64_t missed_updates = 0;
   std::string detail;
-};
-
-struct Gates {
-  double delay_under_p99_ms_max = 1000.0;
-  double leader_delay_over_reaction_ms_max = 2500.0;
-  double equivocation_reaction_ms_max = 2000.0;
-  double withheld_aru_reaction_ms_max = 3500.0;
-  double compromise_reaction_ms_max = 4000.0;
-  double missed_updates_max = 0.0;
 };
 
 // ---- Prime-level harness (mirrors tests/prime_byzantine_test.cpp) ----------
@@ -184,7 +171,7 @@ struct ByzCluster {
 
 // ---- scenarios -------------------------------------------------------------
 
-ScenarioResult run_leader_delay_under(const Gates& gates) {
+ScenarioResult run_leader_delay_under(bench::Report& report) {
   ScenarioResult r;
   r.name = "leader_delay_under";
   ByzCluster cluster;
@@ -212,15 +199,14 @@ ScenarioResult run_leader_delay_under(const Gates& gates) {
     view_stable = view_stable && replica->view() == 0;
   }
   r.reaction_ms = stats.p99_ms;
-  r.pass = view_stable && r.missed_updates == 0 &&
-           stats.p99_ms <= gates.delay_under_p99_ms_max &&
-           cluster.consistent();
+  r.pass = report.at_most("leader_delay_under.p99_ms", stats.p99_ms, 1000.0) &&
+           view_stable && r.missed_updates == 0 && cluster.consistent();
   r.detail = view_stable ? "no false suspicion, p99 " + bench::fmt_ms(stats.p99_ms)
                          : "FALSELY EVICTED under-threshold leader";
   return r;
 }
 
-ScenarioResult run_leader_delay_over(const Gates& gates) {
+ScenarioResult run_leader_delay_over(bench::Report& report) {
   ScenarioResult r;
   r.name = "leader_delay_over";
   ByzCluster cluster;
@@ -240,15 +226,15 @@ ScenarioResult run_leader_delay_over(const Gates& gates) {
                                    cluster.sim.now() + 5 * sim::kSecond)) {
     r.missed_updates = 1;
   }
-  r.pass = r.reaction_ms >= 0 &&
-           r.reaction_ms <= gates.leader_delay_over_reaction_ms_max &&
-           r.missed_updates == 0 && cluster.consistent();
+  r.pass = report.at_most("leader_delay_over.reaction_ms", r.reaction_ms,
+                          2500.0) &&
+           r.reaction_ms >= 0 && r.missed_updates == 0 && cluster.consistent();
   r.detail = r.reaction_ms < 0 ? "leader never evicted"
                                : "evicted via turnaround measurement";
   return r;
 }
 
-ScenarioResult run_equivocation(const Gates& gates) {
+ScenarioResult run_equivocation(bench::Report& report) {
   ScenarioResult r;
   r.name = "equivocation";
   ByzCluster cluster;
@@ -272,16 +258,16 @@ ScenarioResult run_equivocation(const Gates& gates) {
                                    cluster.sim.now() + 5 * sim::kSecond)) {
     r.missed_updates = 1;
   }
-  r.pass = r.reaction_ms >= 0 &&
-           r.reaction_ms <= gates.equivocation_reaction_ms_max &&
-           convictions >= 1 && r.missed_updates == 0 && cluster.consistent();
+  r.pass = report.at_most("equivocation.reaction_ms", r.reaction_ms, 2000.0) &&
+           r.reaction_ms >= 0 && convictions >= 1 && r.missed_updates == 0 &&
+           cluster.consistent();
   r.detail = convictions >= 1
                  ? "convicted by f+1 divergent Prepares"
                  : "view changed without an equivocation conviction";
   return r;
 }
 
-ScenarioResult run_withheld_aru(const Gates& gates) {
+ScenarioResult run_withheld_aru(bench::Report& report) {
   ScenarioResult r;
   r.name = "withheld_aru";
   ByzCluster cluster;
@@ -296,15 +282,14 @@ ScenarioResult run_withheld_aru(const Gates& gates) {
   for (prime::ReplicaId i = 1; i < cluster.config.n(); ++i) {
     aged += cluster.replicas[i]->stats().withheld_aru_suspects;
   }
-  r.pass = r.reaction_ms >= 0 &&
-           r.reaction_ms <= gates.withheld_aru_reaction_ms_max && aged >= 1 &&
-           cluster.consistent();
+  r.pass = report.at_most("withheld_aru.reaction_ms", r.reaction_ms, 3500.0) &&
+           r.reaction_ms >= 0 && aged >= 1 && cluster.consistent();
   r.detail = aged >= 1 ? "withheld rows aged into suspicion"
                        : "view changed without a withheld-ARU suspect";
   return r;
 }
 
-ScenarioResult run_merkle_forger(const Gates&) {
+ScenarioResult run_merkle_forger(bench::Report&) {
   ScenarioResult r;
   r.name = "merkle_forger";
   ByzCluster cluster;
@@ -362,7 +347,7 @@ ScenarioResult run_merkle_forger(const Gates&) {
   return r;
 }
 
-ScenarioResult run_mid_soak_compromise(const Gates& gates) {
+ScenarioResult run_mid_soak_compromise(bench::Report& report) {
   ScenarioResult r;
   r.name = "mid_soak_compromise";
   sim::Simulator sim;
@@ -412,8 +397,9 @@ ScenarioResult run_mid_soak_compromise(const Gates& gates) {
       }
     }
   }
-  r.pass = landed && cross_variant_blocked && rotated &&
-           r.reaction_ms <= gates.compromise_reaction_ms_max && hmi_live &&
+  r.pass = report.at_most("mid_soak_compromise.reaction_ms", r.reaction_ms,
+                          4000.0) &&
+           landed && cross_variant_blocked && rotated && hmi_live &&
            r.missed_updates == 0;
   r.detail = !landed          ? "exploit failed against its own variant"
              : !cross_variant_blocked ? "exploit landed across variants"
@@ -440,7 +426,7 @@ bool command_round_trip(sim::Simulator& sim, scada::SpireDeployment& spire_sys,
          hmi.display().breaker("plc-phys", breaker) == want;
 }
 
-ScenarioResult run_network_stage(const Gates&) {
+ScenarioResult run_network_stage(bench::Report&) {
   ScenarioResult r;
   r.name = "network_stage";
   sim::Simulator sim;
@@ -486,7 +472,7 @@ ScenarioResult run_network_stage(const Gates&) {
   return r;
 }
 
-ScenarioResult run_frontdoor_dos(const Gates&) {
+ScenarioResult run_frontdoor_dos(bench::Report&) {
   ScenarioResult r;
   r.name = "frontdoor_dos";
   scada::FrontDoorConfig config;
@@ -529,112 +515,50 @@ ScenarioResult run_frontdoor_dos(const Gates&) {
   return r;
 }
 
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {"--json=PATH"});
   bench::print_header(
       "R1", "SSIV red-team campaign (adversary v2)",
       "Every scripted Byzantine-replica and network-stage attack is "
       "detected and survived within its reaction SLO with zero missed "
       "updates");
+  bench::Report report(args, "bench_red_team");
+  report.config("f", 1);
+  report.config("k", 0);
 
-  Gates gates;
-  const std::string baseline_path =
-      bench::flag_value(argc, argv, "--baseline", "");
-  const bool fail_below = bench::has_flag(argc, argv, "--fail-below");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "delay_under_p99_ms_max",
-                   &gates.delay_under_p99_ms_max);
-    baseline_value(text, "leader_delay_over_reaction_ms_max",
-                   &gates.leader_delay_over_reaction_ms_max);
-    baseline_value(text, "equivocation_reaction_ms_max",
-                   &gates.equivocation_reaction_ms_max);
-    baseline_value(text, "withheld_aru_reaction_ms_max",
-                   &gates.withheld_aru_reaction_ms_max);
-    baseline_value(text, "compromise_reaction_ms_max",
-                   &gates.compromise_reaction_ms_max);
-    baseline_value(text, "missed_updates_max", &gates.missed_updates_max);
-  }
-
+  using Scenario = ScenarioResult (*)(bench::Report&);
+  const Scenario scenarios[] = {
+      run_leader_delay_under, run_leader_delay_over, run_equivocation,
+      run_withheld_aru,       run_merkle_forger,     run_mid_soak_compromise,
+      run_network_stage,      run_frontdoor_dos};
   std::vector<ScenarioResult> results;
-  results.push_back(run_leader_delay_under(gates));
-  std::printf("[1/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_leader_delay_over(gates));
-  std::printf("[2/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_equivocation(gates));
-  std::printf("[3/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_withheld_aru(gates));
-  std::printf("[4/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_merkle_forger(gates));
-  std::printf("[5/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_mid_soak_compromise(gates));
-  std::printf("[6/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_network_stage(gates));
-  std::printf("[7/8] %s done\n", results.back().name.c_str());
-  results.push_back(run_frontdoor_dos(gates));
-  std::printf("[8/8] %s done\n\n", results.back().name.c_str());
+  for (const Scenario scenario : scenarios) {
+    results.push_back(scenario(report));
+    std::printf("[%zu/%zu] %s done\n", results.size(), std::size(scenarios),
+                results.back().name.c_str());
+  }
+  std::printf("\n");
 
   bench::Table table({"scenario", "verdict", "reaction", "missed", "detail"});
-  bool all_pass = true;
   std::uint64_t total_missed = 0;
   for (const auto& r : results) {
     table.row({r.name, r.pass ? "PASS" : "FAIL",
                r.reaction_ms > 0 ? bench::fmt_ms(r.reaction_ms) : "-",
                std::to_string(r.missed_updates), r.detail});
-    all_pass = all_pass && r.pass;
     total_missed += r.missed_updates;
   }
   table.print();
-  std::printf("\nmissed updates across campaign: %llu (max %g)\n",
-              static_cast<unsigned long long>(total_missed),
-              gates.missed_updates_max);
-  const bool missed_ok =
-      static_cast<double>(total_missed) <= gates.missed_updates_max;
-  all_pass = all_pass && missed_ok;
-
-  const std::string json_path = bench::flag_value(argc, argv, "--json", "");
-  if (!json_path.empty()) {
-    std::FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out != nullptr) {
-      std::fprintf(out,
-                   "{\"bench\":\"bench_red_team\",\"schema_version\":1,"
-                   "\"scenarios\":{");
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto& r = results[i];
-        std::fprintf(out,
-                     "%s\"%s\":{\"pass\":%s,\"reaction_ms\":%.1f,"
-                     "\"missed_updates\":%llu}",
-                     i == 0 ? "" : ",", r.name.c_str(),
-                     r.pass ? "true" : "false", r.reaction_ms,
-                     static_cast<unsigned long long>(r.missed_updates));
-      }
-      std::fprintf(out, "},\"all_pass\":%s}\n", all_pass ? "true" : "false");
-      std::fclose(out);
-      std::printf("wrote %s\n", json_path.c_str());
-    }
+  std::printf("\n");
+  for (const auto& r : results) {
+    report.measured(r.name + ".missed_updates",
+                    static_cast<double>(r.missed_updates));
+    report.check(r.name, r.pass);
   }
+  report.at_most("missed_updates", static_cast<double>(total_missed), 0);
 
   std::printf("\nred-team campaign: %s\n",
-              all_pass ? "ALL SCENARIOS PASS" : "SCENARIO FAILURES");
-  if (!all_pass && (fail_below || !baseline_path.empty())) return 1;
-  return all_pass ? 0 : 1;
+              report.pass() ? "ALL SCENARIOS PASS" : "SCENARIO FAILURES");
+  return report.finish();
 }

@@ -60,7 +60,7 @@ class KvApp : public prime::Application {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
+  const bench::Args args(argc, argv, {});
   bench::print_header(
       "E9", "§III-A",
       "After a total assumption breach (all replicas crash and lose state), "

@@ -1,18 +1,25 @@
-// Shared helpers for the experiment benches: aligned table printing,
-// latency statistics, a standard header that ties each binary back to
-// the paper artifact it reproduces (see DESIGN.md §4), and the runner
-// that spreads independent fleet instances over threads (§8).
+// Shared helpers for the experiment benches: flag parsing (Args), the
+// one gate and JSON report (Report), aligned table printing, latency
+// statistics, a standard header that ties each binary back to the paper
+// artifact it reproduces (see DESIGN.md §4), and the runner that spreads
+// independent fleet instances over threads (§8).
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <initializer_list>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "prime/recovery.hpp"
@@ -99,15 +106,9 @@ inline std::string fmt_ms(double ms) {
   return buf;
 }
 
-inline std::string fmt_count(std::uint64_t v) { return std::to_string(v); }
-
-inline void quiet_logs() {
-  util::LogConfig::instance().level = util::LogLevel::kOff;
-}
-
 /// Standard bench logging setup: silent by default, then the SPIRE_LOG
 /// env spec, then any --log-level=SPEC flags (same spec syntax:
-/// "debug", "prime=debug,spines=warn", …). Call first in main().
+/// "debug", "prime=debug,spines=warn", …). Args calls it.
 inline void init_logging(int argc, char** argv) {
   auto& config = util::LogConfig::instance();
   config.level = util::LogLevel::kOff;
@@ -119,48 +120,258 @@ inline void init_logging(int argc, char** argv) {
   }
 }
 
-/// True when `flag` (e.g. "--json") appears in argv, either bare or as
-/// a `--flag=value` prefix.
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Value of a `--flag=value` argument, or `fallback` when absent/bare.
-inline const char* flag_value(int argc, char** argv, const char* flag,
-                              const char* fallback) {
-  const std::size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return fallback;
-}
-
-/// Shared latency reporter: named sample series in, one aligned text
-/// table (min/p50/p90/p99/max/mean/samples) and optionally one JSON
-/// file out. Replaces the per-bench copies of latency_stats printing in
-/// bench_fig2 / bench_plant_reaction_time / bench_plant_soak.
-class LatencyReporter {
+/// The flags one bench takes. Each spec names a flag and shows its
+/// form: "--chaos" is a switch, "--devices=N" needs a value. Every bench
+/// also takes --log-level=SPEC. Construct it first in main(): it sets up
+/// logging, and an undeclared argument, a switch given a value or a flag
+/// without one prints the usage line and exits 2, so a mistyped or
+/// retired flag cannot silently drop a gate.
+class Args {
  public:
-  void add(std::string name, std::vector<double> samples_ms) {
-    series_.push_back({std::move(name), latency_stats(std::move(samples_ms))});
+  Args(int argc, char** argv, std::initializer_list<const char*> specs)
+      : program_(argc > 0 ? argv[0] : "bench"), specs_(specs) {
+    specs_.push_back("--log-level=SPEC");
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const std::size_t eq = arg.find('=');
+      const std::string name = arg.substr(0, eq);
+      const char* spec = find_spec(name);
+      if (spec == nullptr) usage("unknown argument " + arg);
+      const bool takes_value = std::strchr(spec, '=') != nullptr;
+      if (!takes_value && eq != std::string::npos) {
+        usage(name + " takes no value");
+      }
+      if (takes_value && (eq == std::string::npos || eq + 1 == arg.size())) {
+        usage(name + " needs a value");
+      }
+      given_[name] = takes_value ? arg.substr(eq + 1) : std::string();
+    }
+    init_logging(argc, argv);
   }
 
-  [[nodiscard]] const LatencyStats* find(const std::string& name) const {
-    for (const auto& s : series_) {
-      if (s.name == name) return &s.stats;
+  [[nodiscard]] bool has(const std::string& name) const {
+    return given_.contains(name);
+  }
+
+  [[nodiscard]] std::string str(const std::string& name,
+                                std::string fallback) const {
+    const auto it = given_.find(name);
+    return it == given_.end() ? std::move(fallback) : it->second;
+  }
+
+  [[nodiscard]] std::uint64_t num(const std::string& name,
+                                  std::uint64_t fallback) const {
+    const auto it = given_.find(name);
+    return it == given_.end() ? fallback : parse(name, it->second);
+  }
+
+  /// A comma list such as --devices=1000,5000,10000.
+  [[nodiscard]] std::vector<std::uint64_t> nums(const std::string& name,
+                                                std::uint64_t fallback) const {
+    const auto it = given_.find(name);
+    if (it == given_.end()) return {fallback};
+    std::vector<std::uint64_t> out;
+    std::size_t from = 0;
+    while (true) {
+      const std::size_t comma = it->second.find(',', from);
+      out.push_back(parse(name, it->second.substr(from, comma - from)));
+      if (comma == std::string::npos) return out;
+      from = comma + 1;
+    }
+  }
+
+ private:
+  [[nodiscard]] const char* find_spec(const std::string& name) const {
+    for (const char* spec : specs_) {
+      if (name == std::string_view(spec, std::strcspn(spec, "="))) return spec;
     }
     return nullptr;
   }
-  [[nodiscard]] bool empty() const { return series_.empty(); }
+
+  [[nodiscard]] std::uint64_t parse(const std::string& name,
+                                    const std::string& text) const {
+    char* end = nullptr;
+    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || text[0] < '0' || text[0] > '9' || *end != '\0') {
+      usage(name + " needs a number, got '" + text + "'");
+    }
+    return v;
+  }
+
+  [[noreturn]] void usage(const std::string& why) const {
+    std::fprintf(stderr, "%s: %s\nusage: %s", program_.c_str(), why.c_str(),
+                 program_.c_str());
+    for (const char* spec : specs_) std::fprintf(stderr, " [%s]", spec);
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+
+  std::string program_;
+  std::vector<const char*> specs_;
+  std::map<std::string, std::string> given_;
+};
+
+/// Writes `text` to `path`; false when the file cannot be opened or
+/// written in full.
+inline bool write_file(const std::string& path, std::string_view text) {
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  const bool written = std::fwrite(text.data(), 1, text.size(), out) ==
+                       text.size();
+  return std::fclose(out) == 0 && written;
+}
+
+/// One bench's verdict. It records config and measured values and gates
+/// them against fixed bounds, printing one `gate` line per check.
+/// finish() writes --json=PATH (when the bench declares and is given it)
+/// as {bench, config, measured, bounds, gates, pass} with flat
+/// name->number maps, and returns the exit code: 1 when any gate failed
+/// or any requested output could not be written, else 0.
+class Report {
+ public:
+  Report(const Args& args, std::string bench)
+      : bench_(std::move(bench)), json_path_(args.str("--json", "")) {}
+
+  /// Prefixes the measured and gate keys that follow with "<label>."
+  /// (a multi-run bench labels each run); "" clears the prefix.
+  void run(const std::string& label) {
+    prefix_ = label.empty() ? std::string() : label + ".";
+  }
+
+  void config(const std::string& key, double value) {
+    set(config_, key, value);
+  }
+  void measured(const std::string& key, double value) {
+    set(measured_, prefix_ + key, value);
+  }
+  void measured(const std::string& key, const LatencyStats& s) {
+    measured(key + ".min_ms", s.min_ms);
+    measured(key + ".p50_ms", s.median_ms);
+    measured(key + ".p90_ms", s.p90_ms);
+    measured(key + ".p99_ms", s.p99_ms);
+    measured(key + ".max_ms", s.max_ms);
+    measured(key + ".mean_ms", s.mean_ms);
+    measured(key + ".samples", static_cast<double>(s.samples));
+  }
+
+  bool at_most(const std::string& key, double value, double bound) {
+    return bounded(key, value, bound, "<=", "_max", value <= bound);
+  }
+  bool at_least(const std::string& key, double value, double bound) {
+    return bounded(key, value, bound, ">=", "_min", value >= bound);
+  }
+  bool check(const std::string& name, bool pass) {
+    std::printf("gate %-44s %s\n", (prefix_ + name).c_str(),
+                pass ? "PASS" : "FAIL");
+    return record_gate(prefix_ + name, pass);
+  }
+
+  /// Records the outcome of writing a requested output file; a failed
+  /// write fails the run.
+  void output(const std::string& path, bool written) {
+    if (written) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      outputs_ok_ = false;
+    }
+  }
+
+  [[nodiscard]] bool pass() const { return gates_ok_ && outputs_ok_; }
+
+  int finish() {
+    std::printf("%s: %zu gates, %s\n", bench_.c_str(), gates_.size(),
+                gates_ok_ ? "all pass" : "GATE FAILURES");
+    if (!json_path_.empty()) output(json_path_, write_file(json_path_, json()));
+    return pass() ? 0 : 1;
+  }
+
+ private:
+  using Values = std::vector<std::pair<std::string, double>>;
+
+  static void set(Values& values, const std::string& key, double value) {
+    for (auto& [k, v] : values) {
+      if (k == key) {
+        v = value;
+        return;
+      }
+    }
+    values.emplace_back(key, value);
+  }
+
+  bool bounded(const std::string& key, double value, double bound,
+               const char* op, const char* suffix, bool pass) {
+    measured(key, value);
+    set(bounds_, prefix_ + key + suffix, bound);
+    std::printf("gate %-44s %12.6g %s %-10.6g %s\n",
+                (prefix_ + key + suffix).c_str(), value, op, bound,
+                pass ? "PASS" : "FAIL");
+    return record_gate(prefix_ + key + suffix, pass);
+  }
+
+  bool record_gate(std::string name, bool pass) {
+    gates_.emplace_back(std::move(name), pass);
+    gates_ok_ = gates_ok_ && pass;
+    return pass;
+  }
+
+  static std::string quote(const std::string& s) {
+    std::string out = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + "\"";
+  }
+
+  static std::string number(double v) {
+    if (!std::isfinite(v)) return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.10g", v);
+    return buf;
+  }
+
+  static void append(std::string& out, const char* name, const Values& values) {
+    out += ",\"" + std::string(name) + "\":{";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      out += (i == 0 ? "" : ",") + quote(values[i].first) + ":" +
+             number(values[i].second);
+    }
+    out += "}";
+  }
+
+  [[nodiscard]] std::string json() const {
+    std::string out = "{\"bench\":" + quote(bench_);
+    append(out, "config", config_);
+    append(out, "measured", measured_);
+    append(out, "bounds", bounds_);
+    out += ",\"gates\":{";
+    for (std::size_t i = 0; i < gates_.size(); ++i) {
+      out += (i == 0 ? "" : ",") + quote(gates_[i].first) +
+             (gates_[i].second ? ":true" : ":false");
+    }
+    out += std::string("},\"pass\":") + (pass() ? "true" : "false") + "}\n";
+    return out;
+  }
+
+  std::string bench_;
+  std::string json_path_;
+  std::string prefix_;
+  Values config_, measured_, bounds_;
+  std::vector<std::pair<std::string, bool>> gates_;
+  bool gates_ok_ = true;
+  bool outputs_ok_ = true;
+};
+
+/// Shared latency reporter: named sample series in, one aligned text
+/// table (min/p50/p90/p99/max/mean/samples) out.
+class LatencyReporter {
+ public:
+  /// Adds a series and returns its statistics.
+  LatencyStats add(std::string name, std::vector<double> samples_ms) {
+    series_.push_back({std::move(name), latency_stats(std::move(samples_ms))});
+    return series_.back().stats;
+  }
 
   void print(const char* title = "latency", std::FILE* out = stdout) const {
     Table table({title, "min", "p50", "p90", "p99", "max", "mean", "samples"});
@@ -171,26 +382,6 @@ class LatencyReporter {
                  std::to_string(s.stats.samples)});
     }
     table.print(out);
-  }
-
-  /// {"bench":name,"series":{"<name>":{min_ms,p50_ms,...,samples},...}}
-  bool write_json(const std::string& path, const char* bench_name) const {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) return false;
-    std::fprintf(out, "{\"bench\":\"%s\",\"series\":{", bench_name);
-    for (std::size_t i = 0; i < series_.size(); ++i) {
-      const auto& s = series_[i];
-      std::fprintf(out,
-                   "%s\"%s\":{\"min_ms\":%.3f,\"p50_ms\":%.3f,"
-                   "\"p90_ms\":%.3f,\"p99_ms\":%.3f,\"max_ms\":%.3f,"
-                   "\"mean_ms\":%.3f,\"samples\":%zu}",
-                   i == 0 ? "" : ",", s.name.c_str(), s.stats.min_ms,
-                   s.stats.median_ms, s.stats.p90_ms, s.stats.p99_ms,
-                   s.stats.max_ms, s.stats.mean_ms, s.stats.samples);
-    }
-    std::fprintf(out, "}}\n");
-    std::fclose(out);
-    return true;
   }
 
  private:

@@ -12,8 +12,7 @@
 //   flat           the classic single-area overlay; every LSU floods
 //                  across the WAN links
 //
-// Gates (committed bounds in bench/baseline_wide.json, enforced with
-// --baseline=... --fail-below):
+// Gates (the bench exits 1 when any fails):
 //   * WAN control bytes per daemon: flat / hierarchical >= 5x
 //   * full-BFS share of post-warmup route recomputes <= 0.1 (the
 //     incremental SPF carries the steady state)
@@ -27,14 +26,14 @@
 // while cut, heal, then the HMI image must equal field ground truth —
 // zero missed updates after border re-summarization.
 //
-// --metrics-json[=PATH] writes the hierarchical run's full metrics
+// Run:  bench_wide_area [--daemons=N] [--areas=N] [--duration-seconds=S]
+//                       [--wan-ms=MS] [--metrics-json=PATH]
+//
+// --metrics-json=PATH writes the hierarchical run's full metrics
 // registry snapshot (per-daemon spf_incremental / spf_full /
 // border_summaries_sent / ... counters).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,14 +52,12 @@ using namespace spire;
 struct Options {
   std::size_t daemons = 500;
   std::size_t areas = 4;
-  sim::Time warmup = 5 * sim::kSecond;
   sim::Time duration = 20 * sim::kSecond;
   sim::Time wan_latency = 10 * sim::kMillisecond;
-  bool fail_below = false;
-  std::string baseline_path;
-  bool want_metrics = false;
-  std::string metrics_path = "WIDE_metrics.json";
 };
+
+/// Overlay start-up time before the churn window is measured.
+constexpr sim::Time kWarmup = 5 * sim::kSecond;
 
 spines::NodeId node_name(std::size_t area, std::size_t idx) {
   return "a" + std::to_string(area) + "n" + std::to_string(idx);
@@ -160,7 +157,7 @@ OverlayRun run_overlay(const Options& opt, bool hierarchical,
 
   overlay.build();
   overlay.start_all();
-  sim.run_until(opt.warmup);
+  sim.run_until(kWarmup);
 
   // Post-warmup baselines.
   auto wan_bytes = [&] {
@@ -314,45 +311,20 @@ DeploymentResult run_deployment(sim::Time wan_latency) {
   return result;
 }
 
-bool baseline_value(const std::string& text, const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  const std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
-
+  const bench::Args args(argc, argv,
+                         {"--daemons=N", "--areas=N", "--duration-seconds=S",
+                          "--wan-ms=MS", "--metrics-json=PATH"});
   Options opt;
-  opt.daemons = std::strtoul(
-      bench::flag_value(argc, argv, "--daemons", "500"), nullptr, 10);
-  opt.areas = std::strtoul(bench::flag_value(argc, argv, "--areas", "4"),
-                           nullptr, 10);
+  opt.daemons = args.num("--daemons", 500);
+  opt.areas = args.num("--areas", 4);
   opt.duration =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--duration-seconds", "20"), nullptr,
-          10)) *
-      sim::kSecond;
-  opt.warmup =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--warmup-seconds", "5"), nullptr,
-          10)) *
-      sim::kSecond;
+      static_cast<sim::Time>(args.num("--duration-seconds", 20)) * sim::kSecond;
   opt.wan_latency =
-      static_cast<sim::Time>(std::strtoul(
-          bench::flag_value(argc, argv, "--wan-ms", "10"), nullptr, 10)) *
-      sim::kMillisecond;
-  opt.fail_below = bench::has_flag(argc, argv, "--fail-below");
-  opt.baseline_path = bench::flag_value(argc, argv, "--baseline", "");
-  opt.want_metrics = bench::has_flag(argc, argv, "--metrics-json");
-  opt.metrics_path =
-      bench::flag_value(argc, argv, "--metrics-json", "WIDE_metrics.json");
+      static_cast<sim::Time>(args.num("--wan-ms", 10)) * sim::kMillisecond;
+  const std::string metrics_path = args.str("--metrics-json", "");
   if (opt.areas < 2 || opt.daemons / opt.areas < 24) {
     std::printf("need >= 2 areas and >= 24 daemons per area\n");
     return 1;
@@ -362,6 +334,7 @@ int main(int argc, char** argv) {
       "W1", "wide-area overlay scaling (paper SS5, multi-site Spire)",
       "hierarchical areas keep inter-site control traffic bounded while "
       "incremental SPF absorbs LSU churn at 500+ daemons");
+  bench::Report report(args, "bench_wide_area");
 
   std::printf("\n[1/3] overlay control plane: %zu daemons, %zu areas, "
               "%llu ms WAN\n",
@@ -369,7 +342,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.wan_latency / 1000));
   std::string metrics_json;
   const OverlayRun hier =
-      run_overlay(opt, true, opt.want_metrics ? &metrics_json : nullptr);
+      run_overlay(opt, true, metrics_path.empty() ? nullptr : &metrics_json);
   std::printf("  hierarchical done (%llu summaries)\n",
               static_cast<unsigned long long>(hier.summaries));
   const OverlayRun flat = run_overlay(opt, false, nullptr);
@@ -399,10 +372,8 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("WAN control-byte reduction (flat/hier): %.1fx\n", byte_ratio);
 
-  if (opt.want_metrics) {
-    std::ofstream out(opt.metrics_path);
-    out << metrics_json;
-    std::printf("wrote metrics snapshot to %s\n", opt.metrics_path.c_str());
+  if (!metrics_path.empty()) {
+    report.output(metrics_path, bench::write_file(metrics_path, metrics_json));
   }
 
   std::printf("\n[2/3] multi-site SCADA (2 CC + 2 DC, %llu ms WAN): "
@@ -418,39 +389,14 @@ int main(int argc, char** argv) {
               dep.partition_clean ? "zero missed updates after heal"
                                   : "MISSED UPDATES");
 
-  // ---- gates ---------------------------------------------------------------
-  double byte_ratio_min = 5.0;
-  double full_share_max = 0.1;
-  double cross_site_ms_max = 200.0;
-  if (!opt.baseline_path.empty()) {
-    std::ifstream in(opt.baseline_path);
-    if (!in) {
-      std::printf("baseline %s: cannot open\n", opt.baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    baseline_value(text, "wan_byte_ratio_min", &byte_ratio_min);
-    baseline_value(text, "full_share_max", &full_share_max);
-    baseline_value(text, "cross_site_median_ms_max", &cross_site_ms_max);
-  }
-
-  bool ok = true;
-  auto gate = [&](const char* name, bool pass) {
-    std::printf("gate %-28s %s\n", name, pass ? "PASS" : "FAIL");
-    ok = ok && pass;
-  };
   std::printf("\n");
-  gate("wan_byte_ratio >= min", byte_ratio >= byte_ratio_min);
-  gate("full_share <= max", hier.full_share <= full_share_max);
-  gate("cross_site_median <= max",
-       dep.flips_seen == dep.flips_total &&
-           dep.latency.median_ms <= cross_site_ms_max);
-  gate("sample delivery complete", hier.delivered == hier.sample_sent &&
-                                       flat.delivered == flat.sample_sent);
-  gate("partition heal clean", dep.partition_clean);
-
-  if (!ok && (opt.fail_below || !opt.baseline_path.empty())) return 1;
-  return 0;
+  report.at_least("wan_byte_ratio", byte_ratio, 5.0);
+  report.at_most("full_share", hier.full_share, 0.1);
+  report.at_most("cross_site_median_ms", dep.latency.median_ms, 200.0);
+  report.check("cross_site_flips_all_seen", dep.flips_seen == dep.flips_total);
+  report.check("sample_delivery_complete",
+               hier.delivered == hier.sample_sent &&
+                   flat.delivered == flat.sample_sent);
+  report.check("partition_heal_clean", dep.partition_clean);
+  return report.finish();
 }
