@@ -121,6 +121,7 @@ bool probe_os_escalation(Rig& rig) {
 }
 
 struct Case {
+  const char* gate;  ///< names the case's gate in the report
   const char* defense;
   const char* attack;
   void (*disable)(scada::HardeningOptions&);
@@ -138,26 +139,31 @@ int main(int argc, char** argv) {
       "measure is disabled");
 
   const std::vector<Case> cases = {
-      {"default-deny firewalls", "port scan reaches services",
+      {"firewalls_load_bearing",
+       "default-deny firewalls", "port scan reaches services",
        [](scada::HardeningOptions& h) { h.firewalls = false; },
        probe_port_scan},
-      {"static ARP tables", "ARP cache poisoning",
+      {"static_arp_load_bearing",
+       "static ARP tables", "ARP cache poisoning",
        [](scada::HardeningOptions& h) { h.static_arp = false; },
        probe_arp_poison},
-      {"static MAC<->port bindings", "source-MAC spoofed frames",
+      {"static_switch_ports_load_bearing",
+       "static MAC<->port bindings", "source-MAC spoofed frames",
        [](scada::HardeningOptions& h) { h.static_switch_ports = false; },
        probe_mac_spoof},
-      {"sealed Spines links", "member impersonation (forged hellos)",
+      {"sealed_links_load_bearing",
+       "sealed Spines links", "member impersonation (forged hellos)",
        [](scada::HardeningOptions& h) { h.sealed_links = false; },
        probe_member_impersonation},
-      {"hardened OS profile", "known-CVE root escalation",
+      {"hardened_os_load_bearing",
+       "hardened OS profile", "known-CVE root escalation",
        [](scada::HardeningOptions& h) { h.hardened_os = false; },
        probe_os_escalation},
   };
 
   bench::Table table({"defense under test", "attack replayed",
                       "all defenses ON", "this defense OFF", "load-bearing"});
-  bool shape = true;
+  std::vector<bool> load_bearing;
   for (const auto& c : cases) {
     Rig with_defense{scada::HardeningOptions::all_on()};
     const bool succeeded_with = c.probe(with_defense);
@@ -167,18 +173,23 @@ int main(int argc, char** argv) {
     Rig without_defense{weakened};
     const bool succeeded_without = c.probe(without_defense);
 
-    const bool load_bearing = !succeeded_with && succeeded_without;
-    shape &= load_bearing;
+    load_bearing.push_back(!succeeded_with && succeeded_without);
     table.row({c.defense, c.attack,
                succeeded_with ? "ATTACK SUCCEEDS" : "defeated",
                succeeded_without ? "ATTACK SUCCEEDS" : "defeated",
-               load_bearing ? "yes" : "NO"});
+               load_bearing.back() ? "yes" : "NO"});
   }
   table.print();
+
+  std::printf("\n");
+  bench::Report report(args, "bench_ablation_defenses");
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    report.check(cases[i].gate, load_bearing[i]);
+  }
 
   std::printf("\nShape check vs paper (SVI-A: 'all of these steps need to "
               "be taken before sophisticated intrusion-tolerant protocols "
               "can even have a chance to be relevant'): %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

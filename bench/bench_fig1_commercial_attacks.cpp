@@ -186,10 +186,15 @@ int main(int argc, char** argv) {
 
   table.print();
 
-  const bool all = dumped && plc_controlled && operator_deceived &&
-                   updates_suppressed;
+  std::printf("\n");
+  bench::Report report(args, "bench_fig1_commercial_attacks");
+  report.check("plc_config_dumped", dumped.has_value());
+  report.check("plc_taken_over", plc_controlled);
+  report.check("operator_deceived", operator_deceived);
+  report.check("updates_suppressed", updates_suppressed);
   std::printf("\nShape check vs paper: every attack stage against the "
               "commercial system %s.\n",
-              all ? "SUCCEEDED (matches §IV-B)" : "DID NOT all succeed");
-  return all ? 0 : 1;
+              report.pass() ? "SUCCEEDED (matches §IV-B)"
+                            : "DID NOT all succeed");
+  return report.finish();
 }

@@ -64,17 +64,15 @@ int main(int argc, char** argv) {
 
   bench::Table table(
       {"stage", "red-team action", "effect on Spire", "paper outcome"});
-  bool all_ok = true;
   const std::uint32_t victim = 1;  // compromised replica
 
   // --- stage 1: stop the Spines daemons -------------------------------------
   spire_sys.internal_overlay().daemon("int1").stop();
   spire_sys.external_overlay().daemon("ext1").stop();
   sim.run_until(sim.now() + 2 * sim::kSecond);
-  bool ok = command_round_trip(sim, spire_sys, 0);
-  all_ok &= ok;
+  const bool daemons_stopped = command_round_trip(sim, spire_sys, 0);
   table.row({"1", "stop Spines daemons on replica 1 (user level)",
-             ok ? "none: system tolerates loss of any one replica"
+             daemons_stopped ? "none: system tolerates loss of any one replica"
                 : "DISRUPTED",
              "no effect"});
 
@@ -85,10 +83,10 @@ int main(int argc, char** argv) {
   sim.run_until(sim.now() + 2 * sim::kSecond);
   const bool rejected =
       !spire_sys.internal_overlay().daemon("int0").link_up("int1");
-  ok = command_round_trip(sim, spire_sys, 1) && rejected;
-  all_ok &= ok;
+  const bool keyless_daemon =
+      command_round_trip(sim, spire_sys, 1) && rejected;
   table.row({"2", "run rebuilt open-source daemon lacking the new keys",
-             ok ? "none: encryption keeps the modified daemon out"
+             keyless_daemon ? "none: encryption keeps the modified daemon out"
                 : "DISRUPTED",
              "no effect (new encryption rejected it)"});
   // The legitimate binary is reinstalled for the next stages.
@@ -102,9 +100,9 @@ int main(int argc, char** argv) {
   net::Host& soft_host = spire_sys.network().add_host("contrast-ubuntu");
   soft_host.os() = net::OsProfile::default_ubuntu();
   const auto contrast = attack::try_privilege_escalation(soft_host);
-  ok = escalation == attack::EscalationResult::kFailedPatchedOs &&
-       contrast != attack::EscalationResult::kFailedPatchedOs;
-  all_ok &= ok;
+  const bool os_exploits =
+      escalation == attack::EscalationResult::kFailedPatchedOs &&
+      contrast != attack::EscalationResult::kFailedPatchedOs;
   table.row({"3", "dirtycow + sshd exploits for root",
              std::string("replica: ") +
                  std::string(attack::to_string(escalation)) +
@@ -134,12 +132,11 @@ int main(int argc, char** argv) {
     sim.run_until(sim.now() + 1 * sim::kSecond);
   }
   const auto& int0_stats = spire_sys.internal_overlay().daemon("int0").stats();
-  ok = int0_stats.debug_packets_ignored >= 1 &&
-       int0_stats.debug_packets_honoured == 0 &&
-       command_round_trip(sim, spire_sys, 2);
-  all_ok &= ok;
+  const bool debug_path = int0_stats.debug_packets_ignored >= 1 &&
+                          int0_stats.debug_packets_honoured == 0 &&
+                          command_round_trip(sim, spire_sys, 2);
   table.row({"4", "patched binary triggers legacy debug exploit path",
-             ok ? "none: code path disabled in intrusion-tolerant mode"
+             debug_path ? "none: code path disabled in intrusion-tolerant mode"
                 : "DISRUPTED",
              "no effect (exploit in disabled code)"});
 
@@ -153,16 +150,24 @@ int main(int argc, char** argv) {
         spines::Priority::kHigh);
   }
   sim.run_until(sim.now() + 3 * sim::kSecond);
-  ok = command_round_trip(sim, spire_sys, 3, 8 * sim::kSecond);
-  all_ok &= ok;
+  const bool byzantine_insider =
+      command_round_trip(sim, spire_sys, 3, 8 * sim::kSecond);
   table.row({"5", "root + source: Byzantine replica, insider traffic blast",
-             ok ? "none: fairness + BFT absorb the insider" : "DISRUPTED",
+             byzantine_insider ? "none: fairness + BFT absorb the insider" : "DISRUPTED",
              "no effect (could not disrupt operation)"});
 
   table.print();
+
+  std::printf("\n");
+  bench::Report report(args, "bench_fig3_excursion");
+  report.check("stage1_daemons_stopped", daemons_stopped);
+  report.check("stage2_keyless_daemon_rejected", keyless_daemon);
+  report.check("stage3_os_exploits_fail", os_exploits);
+  report.check("stage4_debug_path_disabled", debug_path);
+  report.check("stage5_byzantine_insider_absorbed", byzantine_insider);
   std::printf(
       "\nShape check vs paper: Spire operates correctly through every "
       "excursion stage: %s\n",
-      all_ok ? "HOLDS" : "VIOLATED");
-  return all_ok ? 0 : 1;
+      report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

@@ -210,14 +210,21 @@ int main(int argc, char** argv) {
   std::printf("MANA alerts (hardened run):   %s\n",
               alert_summary(hard.alerts).c_str());
 
-  const bool shape =
-      hard.system_operational_after && !hard.scan_reached_services &&
-      !hard.arp_poison_took && !hard.mitm_blinded_hmi && !hard.dos_disrupted &&
-      !hard.alerts.empty() &&
-      (open.arp_poison_took || open.scan_reached_services);
+  std::printf("\n");
+  bench::Report report(args, "bench_fig3_redteam");
+  report.check("hardened_operational_after",
+               hard.system_operational_after);
+  report.check("hardened_scan_defeated", !hard.scan_reached_services);
+  report.check("hardened_arp_poison_defeated", !hard.arp_poison_took);
+  report.check("hardened_mitm_defeated", !hard.mitm_blinded_hmi);
+  report.check("hardened_dos_defeated", !hard.dos_disrupted);
+  report.at_least("hardened_mana_alerts",
+                  static_cast<double>(hard.alerts.size()), 1);
+  report.check("unhardened_attackable",
+               open.arp_poison_took || open.scan_reached_services);
   std::printf("\nShape check vs paper: hardened Spire defeats the entire "
               "campaign while the unhardened system is attackable, and MANA "
               "raises alerts: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

@@ -113,11 +113,15 @@ int main(int argc, char** argv) {
   // Shape: every command produced a field transition (first toggle of a
   // breaker that is already in the commanded state is a no-op, so field
   // transitions may lag commands slightly), and the HMI missed nothing.
-  const bool shape = total_missed == 0 && total_field > 0 &&
-                     total_hmi == total_field &&
-                     total_field >= total_commands / 2;
+  std::printf("\n");
+  bench::Report report(args, "bench_fig4_topology");
+  report.at_most("missed_on_hmi", total_missed, 0);
+  report.at_least("field_transitions", total_field, 1);
+  report.check("hmi_transitions_equal_field", total_hmi == total_field);
+  report.check("field_transitions_at_least_half_the_commands",
+               total_field >= total_commands / 2);
   std::printf("\nShape check vs paper: the HMI tracks the predetermined "
               "cycle with zero missed transitions: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

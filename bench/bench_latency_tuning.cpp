@@ -115,17 +115,27 @@ int main(int argc, char** argv) {
   // Shape: latency rises monotonically-ish with slower timers, traffic
   // falls, and every setting keeps bounded (sub-second) delay with no
   // lost commands.
-  bool shape = true;
-  for (const auto& outcome : outcomes) {
-    shape = shape && outcome.to_hmi.samples == 20 &&
-            outcome.to_hmi.p90_ms < 1000.0;
+  std::printf("\n");
+  bench::Report report(args, "bench_latency_tuning");
+  auto ms = [](sim::Time t) { return std::to_string(t / sim::kMillisecond); };
+  for (std::size_t i = 0; i < settings.size(); ++i) {
+    const TimerSetting& s = settings[i];
+    report.run("timers_" + ms(s.po_request) + "_" + ms(s.po_aru) + "_" +
+               ms(s.preprepare) + "ms");
+    report.at_least("cmd_to_hmi.samples",
+                    static_cast<double>(outcomes[i].to_hmi.samples), 20);
+    report.check("cmd_to_hmi.p90_below_1000_ms",
+                 outcomes[i].to_hmi.p90_ms < 1000.0);
   }
-  shape = shape && outcomes.front().to_hmi.median_ms <
-                       outcomes.back().to_hmi.median_ms &&
-          outcomes.front().internal_frames_per_sec >
-              outcomes.back().internal_frames_per_sec;
+  report.run("");
+  report.check("fastest_median_below_slowest",
+               outcomes.front().to_hmi.median_ms <
+                   outcomes.back().to_hmi.median_ms);
+  report.check("fastest_traffic_above_slowest",
+               outcomes.front().internal_frames_per_sec >
+                   outcomes.back().internal_frames_per_sec);
   std::printf("\nShape check: faster timers => lower latency and higher "
               "overhead, with bounded delay everywhere on the sweep: %s\n",
-              shape ? "HOLDS" : "VIOLATED");
-  return shape ? 0 : 1;
+              report.pass() ? "HOLDS" : "VIOLATED");
+  return report.finish();
 }

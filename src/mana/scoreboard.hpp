@@ -7,7 +7,7 @@
 //
 // Scoring is event-based, matching how an operator reads the board:
 //   * An alert is a true positive when it lands inside a labeled attack
-//     interval (plus a grace period after the attack ends — floods and
+//     interval (plus a 2 s grace period after the attack ends — floods and
 //     scans are legitimately reported at window close) and, when the
 //     label names expected kinds, the alert kind is among them.
 //   * Every other alert is a false positive.
@@ -28,11 +28,6 @@
 #include "obs/metrics.hpp"
 
 namespace spire::mana {
-
-struct ScoreBoardConfig {
-  /// Alerts within [start, end + grace] count toward the attack.
-  sim::Time grace = 2 * sim::kSecond;
-};
 
 struct AttackLabel {
   std::string name;
@@ -83,8 +78,6 @@ struct AttackOutcome {
 
 class ScoreBoard {
  public:
-  explicit ScoreBoard(ScoreBoardConfig config = {});
-
   /// Ground-truth labeling. attack_begin leaves the interval open;
   /// attack_end closes the most recent open label with that name.
   /// Both mirror into obs::Tracer markers when tracing is active.
@@ -134,7 +127,6 @@ class ScoreBoard {
 
   [[nodiscard]] PendingAttack* match(const Alert& alert);
 
-  ScoreBoardConfig config_;
   std::vector<PendingAttack> attacks_;
   std::array<DetectorScore, kVotingDetectors + 1> scores_{};
   std::vector<AttackOutcome> outcomes_;

@@ -10,6 +10,16 @@ namespace spire::prime {
 namespace {
 constexpr int kStateTransferFallbackAttempts = 100;  // ~5 s of retries
 constexpr std::uint64_t kSlotRetention = 1024;
+/// Idle heartbeat: the leader re-sends a Pre-Prepare at least this often.
+constexpr sim::Time kLeaderHeartbeat = 200 * sim::kMillisecond;
+constexpr sim::Time kSuspectTimeout = 1 * sim::kSecond;
+/// Max age of an un-included own PO-ARU before the leader is suspected
+/// (turnaround bound; the Prime delay-attack defense).
+constexpr sim::Time kTurnaroundBound = 800 * sim::kMillisecond;
+constexpr sim::Time kReconInterval = 50 * sim::kMillisecond;
+constexpr sim::Time kStateRetryInterval = 300 * sim::kMillisecond;
+constexpr std::uint64_t kCheckpointInterval = 16;  // applied matrices
+constexpr std::uint64_t kOrderingWindow = 16;  // max outstanding Pre-Prepares
 }  // namespace
 
 Replica::Replica(sim::Simulator& sim, ReplicaId id, PrimeConfig config,
@@ -188,9 +198,9 @@ void Replica::arm_timers() {
                       [this, epoch] { po_aru_tick(epoch); });
   sim_.schedule_after(config_.preprepare_interval,
                       [this, epoch] { preprepare_tick(epoch); });
-  sim_.schedule_after(config_.suspect_timeout / 4,
+  sim_.schedule_after(kSuspectTimeout / 4,
                       [this, epoch] { suspect_tick(epoch); });
-  sim_.schedule_after(config_.recon_interval,
+  sim_.schedule_after(kReconInterval,
                       [this, epoch] { recon_tick(epoch); });
 }
 
@@ -752,7 +762,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   if (view_start_.count(view_) && next_order_seq_ < view_start_[view_]) {
     next_order_seq_ = view_start_[view_];
   }
-  if (next_order_seq_ > highest_committed_ + config_.ordering_window) return;
+  if (next_order_seq_ > highest_committed_ + kOrderingWindow) return;
 
   PrePrepare pp;
   pp.leader = id_;
@@ -780,7 +790,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   // immutable objects, so pointer equality decides freshness.
   const bool fresh = !last_prop_valid_ || pp.rows != last_prop_rows_;
   const bool heartbeat_due =
-      sim_.now() - last_preprepare_sent_ >= config_.leader_heartbeat;
+      sim_.now() - last_preprepare_sent_ >= kLeaderHeartbeat;
   if (!fresh && !heartbeat_due) return;
   last_preprepare_sent_ = sim_.now();
 
@@ -840,7 +850,7 @@ void Replica::preprepare_tick(std::uint64_t epoch) {
   // performance attack. Seal and install the proposal locally now (the
   // attacker looks current to itself and can serve MatrixFetches), but
   // hold the broadcast back; with reordering, release held proposals
-  // pairwise swapped. Below turnaround_bound this is invisible — that
+  // pairwise swapped. Below kTurnaroundBound this is invisible — that
   // is the bounded-delay guarantee, the damage is capped, not zero.
   if (byz_.preprepare_delay > 0 || byz_.reorder_preprepares) {
     util::Bytes wire = Envelope::seal(MsgType::kPrePrepare, signer_, body);
@@ -1318,7 +1328,7 @@ void Replica::apply_matrix(std::uint64_t seq) {
 }
 
 void Replica::maybe_checkpoint() {
-  if (applied_seq_ % config_.checkpoint_interval != 0) return;
+  if (applied_seq_ % kCheckpointInterval != 0) return;
   util::Bytes blob = snapshot_bundle();
   Checkpoint cp;
   cp.replica = id_;
@@ -1361,13 +1371,13 @@ void Replica::handle_checkpoint(const Envelope& env, const util::Bytes& raw) {
 
 void Replica::suspect_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.suspect_timeout / 4,
+  sim_.schedule_after(kSuspectTimeout / 4,
                       [this, epoch] { suspect_tick(epoch); });
   if (acting_crashed()) return;
   ++stats_.suspect_ticks;
   if (is_leader()) return;
 
-  if (sim_.now() - last_leader_activity_ > config_.suspect_timeout) {
+  if (sim_.now() - last_leader_activity_ > kSuspectTimeout) {
     log_.debug("leader of view ", view_, " silent; suspecting");
     suspect(view_ + 1);
     return;
@@ -1381,7 +1391,7 @@ void Replica::suspect_tick(std::uint64_t epoch) {
   // Turnaround bound (delay-attack defense): our PO-ARU must appear in
   // the leader's matrices within the bound.
   if (!turnaround_.empty() &&
-      age_of(turnaround_.front().first) > config_.turnaround_bound) {
+      age_of(turnaround_.front().first) > kTurnaroundBound) {
     ++stats_.turnaround_suspects;
     log_.debug("leader of view ", view_,
                " not reflecting our PO-ARUs; suspecting");
@@ -1393,7 +1403,7 @@ void Replica::suspect_tick(std::uint64_t epoch) {
   // broadcast before a crash legitimately goes un-included, and under
   // loss chaos a sample's covering matrix can simply be late, so only
   // persistent exclusion clears the bar.
-  const sim::Time peer_bound = 2 * config_.turnaround_bound;
+  const sim::Time peer_bound = 2 * kTurnaroundBound;
   for (ReplicaId r = 0; r < config_.n(); ++r) {
     if (r == id_) continue;
     const auto& pending = peer_turnaround_[r];
@@ -1673,7 +1683,7 @@ void Replica::handle_new_view(const Envelope& env) {
 
 void Replica::recon_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.recon_interval,
+  sim_.schedule_after(kReconInterval,
                       [this, epoch] { recon_tick(epoch); });
   if (acting_crashed()) return;
 
@@ -1930,7 +1940,7 @@ void Replica::recovery_tick(std::uint64_t epoch) {
   req.nonce = state_nonce_;
   ++stats_.state_reqs_sent;
   send_envelope(MsgType::kStateReq, req.encode());
-  sim_.schedule_after(config_.state_retry_interval,
+  sim_.schedule_after(kStateRetryInterval,
                       [this, epoch] { recovery_tick(epoch); });
 }
 

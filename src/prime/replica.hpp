@@ -46,16 +46,6 @@ struct PrimeConfig {
   sim::Time po_request_interval = 10 * sim::kMillisecond;  ///< batch flush
   sim::Time po_aru_interval = 20 * sim::kMillisecond;
   sim::Time preprepare_interval = 30 * sim::kMillisecond;
-  /// Idle heartbeat: leader re-sends a Pre-Prepare at least this often.
-  sim::Time leader_heartbeat = 200 * sim::kMillisecond;
-  sim::Time suspect_timeout = 1 * sim::kSecond;
-  /// Max age of an un-included own PO-ARU before the leader is suspected
-  /// (turnaround bound; the Prime delay-attack defense).
-  sim::Time turnaround_bound = 800 * sim::kMillisecond;
-  sim::Time recon_interval = 50 * sim::kMillisecond;
-  sim::Time state_retry_interval = 300 * sim::kMillisecond;
-  std::uint64_t checkpoint_interval = 16;  ///< applied matrices per checkpoint
-  std::uint64_t ordering_window = 16;      ///< max outstanding Pre-Prepares
   /// Clients whose updates replicas accept (proxies, HMIs, tools).
   std::vector<std::string> client_identities;
 };
@@ -77,10 +67,11 @@ enum class ReplicaBehavior {
 struct ByzantineConfig {
   /// (a) Prime's signature performance attack: as leader, hold every
   /// Pre-Prepare back this long before it reaches the wire. Calibrated
-  /// just under `turnaround_bound` the delay is invisible to the
-  /// suspicion machinery (that is the point of the bounded-delay
-  /// guarantee — the damage is bounded, not zero); above the bound the
-  /// TAT defense must evict the leader.
+  /// just under the 800 ms turnaround bound (kTurnaroundBound in
+  /// replica.cpp) the delay is invisible to the suspicion machinery
+  /// (that is the point of the bounded-delay guarantee — the damage is
+  /// bounded, not zero); above the bound the TAT defense must evict the
+  /// leader.
   sim::Time preprepare_delay = 0;
   /// Emit held-back Pre-Prepares pairwise swapped (reordering attack;
   /// implies holding proposals until a pair has accumulated).

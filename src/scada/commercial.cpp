@@ -2,6 +2,17 @@
 
 namespace spire::scada {
 
+namespace {
+/// Both masters and the HMI poll once a second, the typical commercial
+/// rate.
+constexpr sim::Time kPollInterval = 1 * sim::kSecond;
+constexpr sim::Time kHeartbeatInterval = 500 * sim::kMillisecond;
+/// The backup master takes over after this long without a heartbeat.
+constexpr sim::Time kFailoverTimeout = 2 * sim::kSecond;
+/// The HMI switches masters after this many unanswered polls.
+constexpr int kFailoverAfterMisses = 3;
+}  // namespace
+
 util::Bytes CommMsg::encode() const {
   util::ByteWriter w;
   w.u8(static_cast<std::uint8_t>(type));
@@ -77,7 +88,7 @@ void CommercialMaster::stop() {
 
 void CommercialMaster::poll_tick() {
   if (!running_) return;
-  sim_.schedule_after(config_.poll_interval, [this] { poll_tick(); });
+  sim_.schedule_after(kPollInterval, [this] { poll_tick(); });
   if (!active_) return;
 
   for (const auto& link : config_.devices) {
@@ -109,7 +120,7 @@ void CommercialMaster::poll_tick() {
 
 void CommercialMaster::heartbeat_tick() {
   if (!running_) return;
-  sim_.schedule_after(config_.heartbeat_interval, [this] { heartbeat_tick(); });
+  sim_.schedule_after(kHeartbeatInterval, [this] { heartbeat_tick(); });
 
   CommMsg hb;
   hb.type = CommMsgType::kHeartbeat;
@@ -118,7 +129,7 @@ void CommercialMaster::heartbeat_tick() {
                  hb.encode());
 
   if (!config_.is_primary && !active_ &&
-      sim_.now() - last_peer_heartbeat_ > config_.failover_timeout) {
+      sim_.now() - last_peer_heartbeat_ > kFailoverTimeout) {
     log_.warn("primary silent; backup taking over");
     active_ = true;
   }
@@ -192,12 +203,12 @@ net::IpAddress CommercialHmi::active_master() const {
 
 void CommercialHmi::poll_tick() {
   if (!running_) return;
-  sim_.schedule_after(config_.poll_interval, [this] { poll_tick(); });
+  sim_.schedule_after(kPollInterval, [this] { poll_tick(); });
 
   if (outstanding_txn_) {
     ++stats_.timeouts;
     ++consecutive_misses_;
-    if (consecutive_misses_ >= config_.failover_after_misses) {
+    if (consecutive_misses_ >= kFailoverAfterMisses) {
       using_backup_ = !using_backup_;
       consecutive_misses_ = 0;
       log_.warn("master unresponsive; switching to ",

@@ -18,6 +18,7 @@ FleetProxy::FleetProxy(sim::Simulator& sim, FleetProxyConfig config,
                [this](std::vector<StatusReport>&& reports) {
                  send_batch(std::move(reports));
                }),
+      orders_(config_.f),
       metrics_("scada.fleet." + config_.identity),
       batch_fill_(obs::MetricsRegistry::current().histogram(
           "scada.fleet." + config_.identity + ".batch_fill")) {
@@ -101,21 +102,8 @@ void FleetProxy::handle_order(const CommandOrder& order) {
   const auto device = devices_.find(order.command.device);
   if (device == devices_.end()) return;
 
-  const auto key = std::make_pair(order.issuer, order.command.command_id);
-  if (executed_orders_.count(key)) return;
+  if (!orders_.add(order)) return;
 
-  auto& votes = order_votes_[key];
-  votes[order.replica] = order.command;
-
-  std::uint32_t matching = 0;
-  const util::Bytes canonical = order.command.encode();
-  for (const auto& [replica, command] : votes) {
-    if (command.encode() == canonical) ++matching;
-  }
-  if (matching < config_.f + 1) return;
-
-  executed_orders_.insert(key);
-  order_votes_.erase(key);
   ++stats_.commands_forwarded;
   if (device->second.on_command) {
     device->second.on_command(order.command.breaker, order.command.close);

@@ -15,8 +15,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -25,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "scada/client.hpp"
 #include "scada/front_door.hpp"
+#include "scada/order_vote.hpp"
 #include "scada/wire.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -99,12 +98,7 @@ class FleetProxy {
   FrontDoor door_;
   DeltaBatcher batcher_;
   std::unordered_map<std::string, DeviceEntry> devices_;
-
-  /// (issuer, command_id) -> replicas that sent a matching order.
-  std::map<std::pair<std::string, std::uint64_t>,
-           std::map<std::uint32_t, SupervisoryCommand>>
-      order_votes_;
-  std::set<std::pair<std::string, std::uint64_t>> executed_orders_;
+  OrderVote orders_;
   FleetProxyStats stats_;
   obs::Binder metrics_;
   obs::Histogram* batch_fill_;  ///< reports per flushed batch

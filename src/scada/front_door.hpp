@@ -1,4 +1,4 @@
-// Proxy front door (ROADMAP item 2): the admission layer between field
+// FleetProxy front door (ROADMAP item 2): the admission layer between field
 // devices and the intrusion-tolerant core, modeled on Envoy's ratelimit
 // filter and overload manager. A fleet proxy fronting thousands of
 // devices cannot let a chattering PLC starve the Prime ordering path,
@@ -19,8 +19,9 @@
 // deltas coalesce for up to one batch window (or until a count/byte
 // budget fills) and flush as a single Prime client update, amortizing
 // one ordering round and one signature across the whole batch.
-// stop() performs a final synchronous flush so shutdown never silently
-// drops an admitted delta.
+// stop() performs a final synchronous flush, and every delta enqueued
+// after it flushes at once, so shutdown never silently drops an
+// admitted delta.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +105,6 @@ struct FrontDoorStats {
 
 class FrontDoor {
  public:
-  FrontDoor() : FrontDoor(FrontDoorConfig{}) {}
   explicit FrontDoor(FrontDoorConfig config)
       : config_(config), bucket_(config.rate_per_sec, config.burst) {}
 
@@ -136,7 +136,6 @@ class FrontDoor {
   }
 
   [[nodiscard]] const FrontDoorStats& stats() const { return stats_; }
-  [[nodiscard]] const FrontDoorConfig& config() const { return config_; }
 
   /// Exposes the admission counters under `binder`'s prefix.
   void bind(obs::Binder& binder) const {
@@ -165,8 +164,8 @@ struct BatcherConfig {
 };
 
 /// Coalesces admitted StatusReports and flushes them as one batch when
-/// the window expires or a budget fills. With window 0 every enqueue
-/// flushes synchronously — the legacy one-report-per-update path.
+/// the window expires or a budget fills. With window 0, or once
+/// stopped, every enqueue flushes synchronously.
 class DeltaBatcher {
  public:
   using FlushFn = std::function<void(std::vector<StatusReport>&&)>;
@@ -177,7 +176,8 @@ class DeltaBatcher {
   void enqueue(StatusReport report) {
     pending_bytes_ += encoded_size(report);
     pending_.push_back(std::move(report));
-    if (config_.window == 0 || pending_.size() >= config_.max_batch ||
+    if (stopped_ || config_.window == 0 ||
+        pending_.size() >= config_.max_batch ||
         pending_bytes_ >= config_.max_bytes) {
       flush();
       return;
@@ -196,14 +196,14 @@ class DeltaBatcher {
     flush_(std::move(batch));
   }
 
-  /// Final flush: nothing admitted before stop() is ever dropped.
+  /// Final flush: nothing admitted before stop() is ever dropped, and
+  /// nothing admitted after it waits for a window timer.
   void stop() {
     stopped_ = true;
     flush();
   }
 
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  [[nodiscard]] bool stopped() const { return stopped_; }
 
  private:
   static std::size_t encoded_size(const StatusReport& r) {

@@ -4,6 +4,12 @@
 
 namespace spire::scada {
 
+namespace {
+/// Minimum spacing between ResyncRequests (masters answer each one with
+/// a full snapshot — keep a confused HMI from flooding them).
+constexpr sim::Time kResyncMinInterval = sim::kSecond;
+}  // namespace
+
 Hmi::Hmi(sim::Simulator& sim, HmiConfig config, const crypto::Keyring& keyring,
          crypto::Verifier replica_verifier, ScadaClient::SubmitFn submit)
     : sim_(sim),
@@ -151,7 +157,7 @@ void Hmi::finish_adopt(std::uint64_t version) {
 
 void Hmi::request_resync() {
   const sim::Time now = sim_.now();
-  if (resync_requested_ && now < last_resync_ + config_.resync_min_interval) {
+  if (resync_requested_ && now < last_resync_ + kResyncMinInterval) {
     return;
   }
   resync_requested_ = true;

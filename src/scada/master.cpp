@@ -98,7 +98,7 @@ void ScadaMaster::push_state_to_hmis() {
   const bool due = visible_since_push_ || full_next_push_ ||
                    version_ >= last_pushed_version_ + kPushEvery;
   if (!due) return;  // nothing an operator could see changed
-  if (version_ < last_pushed_version_ + config_.publish_min_versions) return;
+  if (version_ <= last_pushed_version_) return;
 
   StateUpdate su;
   su.replica = config_.replica_id;

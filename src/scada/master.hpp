@@ -43,10 +43,6 @@ struct MasterConfig {
   std::map<std::string, std::string> device_proxy;
   /// HMI client identities to push state updates to.
   std::vector<std::string> hmis;
-  /// Publish at most once per this many versions (1 = every eligible
-  /// version; larger values let fleet deployments trade HMI freshness
-  /// for fewer signatures).
-  std::uint64_t publish_min_versions = 1;
 };
 
 class ScadaMaster : public prime::Application {

@@ -4,6 +4,11 @@
 
 namespace spire::scada {
 
+namespace {
+/// How long a poll waits for the field device's reply.
+constexpr sim::Time kModbusTimeout = 100 * sim::kMillisecond;
+}  // namespace
+
 PlcProxy::PlcProxy(sim::Simulator& sim, ProxyConfig config,
                    const crypto::Keyring& keyring,
                    crypto::Verifier replica_verifier,
@@ -15,22 +20,14 @@ PlcProxy::PlcProxy(sim::Simulator& sim, ProxyConfig config,
       replica_verifier_(std::move(replica_verifier)),
       client_(config_.identity, keyring, std::move(submit)),
       field_(std::move(field)),
-      door_(config_.front_door),
-      batcher_(sim, config_.batch,
-               [this](std::vector<StatusReport>&& reports) {
-                 send_batch(std::move(reports));
-               }),
-      metrics_("scada.proxy." + config_.device),
-      batch_fill_(obs::MetricsRegistry::current().histogram(
-          "scada.proxy." + config_.device + ".batch_fill")) {
+      orders_(config_.f),
+      metrics_("scada.proxy." + config_.device) {
   metrics_.counter("polls", &stats_.polls);
   metrics_.counter("poll_failures", &stats_.poll_failures);
   metrics_.counter("reports_sent", &stats_.reports_sent);
-  metrics_.counter("batches_sent", &stats_.batches_sent);
   metrics_.counter("orders_received", &stats_.orders_received);
   metrics_.counter("orders_rejected_sig", &stats_.orders_rejected_sig);
   metrics_.counter("commands_forwarded", &stats_.commands_forwarded);
-  door_.bind(metrics_);
 }
 
 void PlcProxy::start() {
@@ -55,58 +52,24 @@ void PlcProxy::poll_tick() {
           ++stats_.poll_failures;
           return;
         }
-        // A report carrying breaker movement is protection-critical:
-        // the front door must never shed it before plain telemetry.
-        const DeltaPriority priority =
-            (state->breakers != last_breakers_) ? DeltaPriority::kCritical
-                                                : DeltaPriority::kTelemetry;
-        if (!door_.admit(priority, sim_.now(), batcher_.pending())) return;
-
         StatusReport report;
         report.device = config_.device;
         report.report_seq = next_report_seq_++;
         report.breakers = std::move(state->breakers);
         report.readings = std::move(state->readings);
-        last_breakers_ = report.breakers;
-        batcher_.enqueue(std::move(report));
+        ++stats_.reports_sent;
+        const std::uint64_t seq =
+            client_.send(ScadaMsgType::kStatusReport, report.encode());
+        if (auto* tracer = obs::Tracer::current()) {
+          // Links any pending field-side breaker changes to this
+          // report's span (the PLC→HMI end-to-end leg).
+          tracer->proxy_report(config_.device, client_.identity(), seq,
+                               report.breakers);
+        }
       },
-      config_.modbus_timeout);
+      kModbusTimeout);
 
   sim_.schedule_after(config_.poll_interval, [this] { poll_tick(); });
-}
-
-void PlcProxy::send_batch(std::vector<StatusReport>&& reports) {
-  if (reports.empty()) return;
-  batch_fill_->record(reports.size());
-  if (reports.size() == 1) {
-    // Lone report: keep the classic kStatusReport wire shape so a
-    // zero-window proxy is byte-identical to the pre-batching one.
-    StatusReport report = std::move(reports.front());
-    ++stats_.reports_sent;
-    const std::uint64_t seq =
-        client_.send(ScadaMsgType::kStatusReport, report.encode());
-    if (auto* tracer = obs::Tracer::current()) {
-      // Links any pending field-side breaker changes to this
-      // report's span (the PLC→HMI end-to-end leg).
-      tracer->proxy_report(config_.device, client_.identity(), seq,
-                           report.breakers);
-    }
-    return;
-  }
-
-  BatchReport batch;
-  batch.reports = std::move(reports);
-  if (auto* tracer = obs::Tracer::current()) {
-    // Member spans must exist before client_submit fans out to them.
-    const std::uint64_t seq = client_.peek_seq();
-    for (const auto& report : batch.reports) {
-      tracer->proxy_batch_delta(report.device, client_.identity(), seq,
-                                report.breakers);
-    }
-  }
-  stats_.reports_sent += batch.reports.size();
-  ++stats_.batches_sent;
-  client_.send(ScadaMsgType::kBatchReport, batch.encode());
 }
 
 void PlcProxy::on_master_output(std::span<const std::uint8_t> data) {
@@ -126,22 +89,8 @@ void PlcProxy::handle_order(const CommandOrder& order) {
   }
   if (order.command.device != config_.device) return;
 
-  const auto key = std::make_pair(order.issuer, order.command.command_id);
-  if (executed_orders_.count(key)) return;
+  if (!orders_.add(order)) return;
 
-  auto& votes = order_votes_[key];
-  votes[order.replica] = order.command;
-
-  // Count replicas that sent exactly this command content.
-  std::uint32_t matching = 0;
-  const util::Bytes canonical = order.command.encode();
-  for (const auto& [replica, command] : votes) {
-    if (command.encode() == canonical) ++matching;
-  }
-  if (matching < config_.f + 1) return;
-
-  executed_orders_.insert(key);
-  order_votes_.erase(key);
   ++stats_.commands_forwarded;
   log_.debug("forwarding command to field device: breaker ",
              order.command.breaker, " <- ",

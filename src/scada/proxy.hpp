@@ -7,23 +7,20 @@
 //    and submits a signed StatusReport to the replicated masters;
 //  * collects replica-signed CommandOrders and forwards a supervisory
 //    command to the PLC only after f+1 distinct replicas sent an
-//    identical order (output voting);
-//  * runs every outbound report through the front door (rate limit,
-//    queue bounds, priority shedding) and the delta batcher. With the
-//    default config (unlimited rate, zero batch window) the wire
-//    behavior is identical to the classic one-report-per-update proxy.
+//    identical order (output voting).
+// Each successful poll leaves as exactly one kStatusReport update; the
+// admission front door and delta batching serve only the FleetProxy,
+// which fronts many devices behind one client identity.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "crypto/keyring.hpp"
 #include "obs/metrics.hpp"
 #include "scada/client.hpp"
 #include "scada/field_client.hpp"
-#include "scada/front_door.hpp"
+#include "scada/order_vote.hpp"
 #include "scada/wire.hpp"
 #include "sim/simulator.hpp"
 #include "util/log.hpp"
@@ -36,16 +33,12 @@ struct ProxyConfig {
   std::size_t breaker_count = 0;
   std::uint32_t f = 1;       ///< orders need f+1 matching replicas
   sim::Time poll_interval = 200 * sim::kMillisecond;
-  sim::Time modbus_timeout = 100 * sim::kMillisecond;
-  FrontDoorConfig front_door;  ///< admission control for outbound reports
-  BatcherConfig batch;         ///< delta coalescing (window 0 = legacy)
 };
 
 struct ProxyStats {
   std::uint64_t polls = 0;
   std::uint64_t poll_failures = 0;
   std::uint64_t reports_sent = 0;
-  std::uint64_t batches_sent = 0;
   std::uint64_t orders_received = 0;
   std::uint64_t orders_rejected_sig = 0;
   std::uint64_t commands_forwarded = 0;
@@ -61,26 +54,17 @@ class PlcProxy {
            ScadaClient::SubmitFn submit, std::unique_ptr<FieldClient> field);
 
   void start();
-  /// Stops polling and flushes anything still waiting in the batcher so
-  /// no admitted report is dropped on shutdown.
-  void stop() {
-    running_ = false;
-    batcher_.stop();
-  }
+  void stop() { running_ = false; }
 
   /// Feed for replica->proxy traffic from the external network.
   void on_master_output(std::span<const std::uint8_t> data);
 
   [[nodiscard]] FieldClient& field() { return *field_; }
   [[nodiscard]] const ProxyStats& stats() const { return stats_; }
-  [[nodiscard]] const FrontDoorStats& front_door_stats() const {
-    return door_.stats();
-  }
   [[nodiscard]] const std::string& device() const { return config_.device; }
 
  private:
   void poll_tick();
-  void send_batch(std::vector<StatusReport>&& reports);
   void handle_order(const CommandOrder& order);
 
   sim::Simulator& sim_;
@@ -89,20 +73,11 @@ class PlcProxy {
   crypto::Verifier replica_verifier_;
   ScadaClient client_;
   std::unique_ptr<FieldClient> field_;
-  FrontDoor door_;
-  DeltaBatcher batcher_;
   bool running_ = false;
   std::uint64_t next_report_seq_ = 1;
-  std::vector<bool> last_breakers_;  ///< to classify report priority
-
-  /// (issuer, command_id) -> replicas that sent a matching order.
-  std::map<std::pair<std::string, std::uint64_t>,
-           std::map<std::uint32_t, SupervisoryCommand>>
-      order_votes_;
-  std::set<std::pair<std::string, std::uint64_t>> executed_orders_;
+  OrderVote orders_;
   ProxyStats stats_;
   obs::Binder metrics_;  ///< exposes stats_ in the metrics registry
-  obs::Histogram* batch_fill_;  ///< reports per flushed batch
 };
 
 }  // namespace spire::scada

@@ -7,6 +7,19 @@
 namespace spire::spines {
 
 namespace {
+/// Topology events (accepted LSUs, hello up/down transitions) within
+/// this window collapse into a single route recomputation.
+constexpr sim::Time kRouteCoalesceInterval = 1 * sim::kMillisecond;
+/// Overlay egress pacing (bytes per microsecond, ~1 Gb/s).
+constexpr double kLinkBytesPerUs = 125.0;
+/// Reliable data links: retransmit an unacked packet after this long,
+/// and give up after this many retransmissions.
+constexpr sim::Time kRetransmitTimeout = 50 * sim::kMillisecond;
+constexpr int kMaxRetransmits = 6;
+/// Remote summary members not re-advertised within this window are
+/// dropped.
+constexpr sim::Time kSummaryMemberTimeout = 10 * sim::kSecond;
+
 /// Approximate wire size of a data message for pacing purposes.
 std::size_t data_wire_size(const DataBody& d) { return 64 + d.payload.size(); }
 }  // namespace
@@ -27,7 +40,6 @@ Daemon::Daemon(sim::Simulator& sim, net::Host& host, DaemonConfig config,
       verifier_(std::move(verifier)),
       signer_(config_.id, keyring.identity_key(config_.id)),
       log_("spines." + config_.id),
-      nodes_(config_.max_overlay_nodes),
       dedup_(config_.dedup_cache_size),
       metrics_("spines.daemon." + config_.id) {
   metrics_.counter("data_originated", &stats_.data_originated);
@@ -307,17 +319,17 @@ void Daemon::send_ack(NodeHandle neighbor, std::uint64_t acked_seq) {
 
 void Daemon::retransmit_tick(std::uint64_t epoch) {
   if (epoch != epoch_ || !running_) return;
-  sim_.schedule_after(config_.retransmit_timeout / 2,
+  sim_.schedule_after(kRetransmitTimeout / 2,
                       [this, epoch] { retransmit_tick(epoch); });
   const sim::Time now = sim_.now();
   for (const NodeHandle h : neighbor_order_) {
     Neighbor& n = *neighbors_[h];
     for (auto it = n.unacked.begin(); it != n.unacked.end();) {
-      if (now - it->second.sent_at < config_.retransmit_timeout) {
+      if (now - it->second.sent_at < kRetransmitTimeout) {
         ++it;
         continue;
       }
-      if (it->second.retries >= config_.max_retransmits) {
+      if (it->second.retries >= kMaxRetransmits) {
         ++stats_.data_abandoned;  // link is dead; hellos will notice
         it = n.unacked.erase(it);
         continue;
@@ -629,7 +641,7 @@ void Daemon::pump(NodeHandle neighbor) {
     if (unit->encoded.empty()) unit->encoded = unit->body.encode();
     const double bytes = static_cast<double>(data_wire_size(unit->body));
     const auto tx_time =
-        static_cast<sim::Time>(std::ceil(bytes / config_.link_bytes_per_us));
+        static_cast<sim::Time>(std::ceil(bytes / kLinkBytesPerUs));
     n.busy_until = sim_.now() + tx_time;
     send_packet(neighbor, PacketType::kData, unit->encoded);
 
@@ -723,7 +735,7 @@ void Daemon::mark_routes_dirty() {
     return;
   }
   route_recompute_scheduled_ = true;
-  sim_.schedule_after(config_.route_coalesce_interval, [this, epoch = epoch_] {
+  sim_.schedule_after(kRouteCoalesceInterval, [this, epoch = epoch_] {
     if (epoch != epoch_ || !running_) return;
     route_recompute_scheduled_ = false;
     if (routes_dirty_) {
@@ -783,7 +795,7 @@ void Daemon::send_summaries() {
   // of members that stopped being re-advertised.
   for (auto& [area, fa] : foreign_) {
     for (auto it = fa.members.begin(); it != fa.members.end();) {
-      if (now - it->second > config_.summary_member_timeout) {
+      if (now - it->second > kSummaryMemberTimeout) {
         it = fa.members.erase(it);
       } else {
         ++it;
@@ -938,7 +950,7 @@ void Daemon::refresh_remote_routes() {
     auto& vias = remote_vias_[dst];
     if (vias.empty()) continue;
     std::erase_if(vias, [&](const RemoteVia& rv) {
-      return now - rv.last_seen > config_.summary_member_timeout;
+      return now - rv.last_seen > kSummaryMemberTimeout;
     });
     std::uint32_t best_cost = SpfEngine::kInfDist;
     NodeHandle best_via = kNoHandle;

@@ -65,18 +65,11 @@ struct DaemonConfig {
   sim::Time hello_interval = 100 * sim::kMillisecond;
   sim::Time link_timeout = 350 * sim::kMillisecond;
   sim::Time lsu_refresh = 1 * sim::kSecond;
-  /// Topology events (accepted LSUs, hello up/down transitions) within
-  /// this window collapse into a single route recomputation.
-  sim::Time route_coalesce_interval = 1 * sim::kMillisecond;
-  /// Overlay egress pacing (bytes per microsecond, ~1 Gb/s default).
-  double link_bytes_per_us = 125.0;
   std::size_t per_source_queue_cap = 128;
   std::size_t dedup_cache_size = 8192;
   /// Spines' reliable message service: per-link ARQ for data packets
   /// (ack + retransmit), so routed traffic survives transient drops.
   bool reliable_data_links = true;
-  sim::Time retransmit_timeout = 50 * sim::kMillisecond;
-  int max_retransmits = 6;
 
   // --- hierarchical area routing (wide-area overlays) -------------------
   /// Routing area this daemon belongs to. LSUs flood only within the
@@ -91,10 +84,6 @@ struct DaemonConfig {
   /// capping), so per-interval fan-out is bounded regardless of area
   /// size.
   std::size_t summary_fanout_cap = 64;
-  /// Remote members not re-advertised within this window are dropped.
-  sim::Time summary_member_timeout = 10 * sim::kSecond;
-  /// Node-table capacity (distinct node names this daemon will admit).
-  std::size_t max_overlay_nodes = kMaxOverlayNodes;
 };
 
 struct DaemonStats {
@@ -278,7 +267,7 @@ class Daemon {
                     const std::shared_ptr<ForwardUnit>& unit);
   void pump(NodeHandle neighbor);
   /// Sets the routes-dirty flag and schedules one coalesced
-  /// recompute_routes() per route_coalesce_interval.
+  /// recompute_routes() per kRouteCoalesceInterval.
   void mark_routes_dirty();
   void recompute_routes();
   /// Border origination: advertises every summary stream (own area +

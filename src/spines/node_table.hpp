@@ -22,8 +22,7 @@ constexpr NodeHandle kNoHandle = util::StringInterner::kInvalid;
 /// unbounded fresh NodeIds (as LSU neighbors, summary members, or data
 /// sources) and grow the table — and every handle-indexed vector —
 /// without limit. Sized for wide-area deployments (500+ daemons × area
-/// summaries) with a wide margin; per-daemon overridable through
-/// DaemonConfig::max_overlay_nodes.
+/// summaries) with a wide margin.
 constexpr std::size_t kMaxOverlayNodes = 16384;
 
 class NodeTable {

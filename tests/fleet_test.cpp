@@ -557,6 +557,25 @@ TEST(FleetProxy, RateLimitShedsTelemetryButNeverBreakerTraffic) {
   EXPECT_EQ(proxy.stats().reports_sent, 8u);
 }
 
+TEST(FleetProxy, DeltaAdmittedAfterStopIsStillSent) {
+  sim::Simulator sim;
+  crypto::Keyring keyring("fleet-test");
+  std::vector<util::Bytes> submitted;
+  FleetProxyConfig config;
+  config.identity = "client/proxy-fleet0";
+  config.batch.window = 10 * sim::kMillisecond;
+  FleetProxy proxy(sim, config, keyring, replica_verifier(keyring, 4),
+                   [&](const util::Bytes& envelope) {
+                     submitted.push_back(envelope);
+                   });
+  proxy.register_device("fd0");
+  proxy.stop();
+  EXPECT_TRUE(proxy.ingest("fd0", {true}, {100}, DeltaPriority::kTelemetry));
+  sim.run_until(sim::Time{50} * sim::kMillisecond);
+  EXPECT_EQ(proxy.stats().reports_sent, proxy.front_door_stats().admitted);
+  EXPECT_EQ(submitted.size(), 1u);
+}
+
 // --- emulated fleet --------------------------------------------------
 
 TEST(EmulatedFleet, EmitsDeterministicReportsWithGroundTruth) {

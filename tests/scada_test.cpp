@@ -8,9 +8,11 @@
 #include "plc/plc.hpp"
 #include "scada/commercial.hpp"
 #include "scada/cycler.hpp"
+#include "scada/deployment.hpp"
 #include "scada/hmi.hpp"
 #include "scada/master.hpp"
 #include "scada/proxy.hpp"
+#include "util/hex.hpp"
 
 namespace spire::scada {
 namespace {
@@ -543,6 +545,37 @@ TEST_F(CommercialFixture, BackupTakesOverWhenPrimaryDies) {
   device->actuate_breaker_locally(0, true);
   sim.run_until(18 * sim::kSecond);
   EXPECT_EQ(hmi->display().breaker("plc-phys", 0), true);
+}
+
+// Pins the simulated behaviour of the full §V plant deployment (n=6,
+// 17 proxied devices, 3 HMIs, proactive recovery, one operator command)
+// at a fixed seed. The protocol timers, window sizes and thresholds
+// inside Prime, Spines and the SCADA components all shape this run, so
+// a changed constant moves at least one of these three values.
+TEST(PlantDeployment, FixedSeedRunIsPinned) {
+  sim::Simulator sim;
+  DeploymentConfig config;
+  config.f = 1;
+  config.k = 1;
+  config.scenario = ScenarioSpec::power_plant();
+  config.hmi_count = 3;
+  SpireDeployment plant(sim, config);
+  plant.start();
+  auto recovery = plant.make_recovery(
+      prime::RecoveryConfig{4 * sim::kSecond, 1 * sim::kSecond});
+  sim.run_until(1 * sim::kSecond);
+  recovery->start();
+  sim.run_until(5 * sim::kSecond);
+  plant.hmi(0).command_breaker("plc-plant", 0,
+                               !plant.plc("plc-plant").breakers().closed(0));
+  sim.run_until(10 * sim::kSecond);
+
+  EXPECT_GE(recovery->recoveries_completed(), 1u);
+  EXPECT_GE(plant.proxy("plc-plant").stats().commands_forwarded, 1u);
+  EXPECT_EQ(sim.events_executed(), 459194u);
+  EXPECT_EQ(plant.replica(0).applied_seq(), 333u);
+  EXPECT_EQ(util::to_hex(plant.master(0).state().digest()),
+            "48ed724c199567562b17f81488492a65e32ec98edfb1ba71949506404c20672c");
 }
 
 }  // namespace
