@@ -1,10 +1,8 @@
-// M1 — microbenchmarks (google-benchmark) for the primitives every
-// experiment leans on: crypto, sealed channels, Modbus codecs, Prime
-// message signing/verification and eligibility computation, MANA
-// scoring, and the simulation kernel itself.
-//
-// In addition to the google-benchmark suite, `--json[=PATH]` runs three
-// machine-readable hot-path microbenches and writes BENCH_micro.json:
+// M1 — per-layer microbenches: the companion to perfbench's end-to-end
+// field→HMI run that says which layer moved. Each section times one hot
+// path at the size the end-to-end workloads ask of it, records its rate
+// plus items, wall_seconds and any extras under "<section>.", and gates
+// the rate against a fixed floor (kSections below):
 //
 //   scheduler_churn        events/sec through sim::Simulator under a
 //                          schedule/cancel/reschedule mix (the pattern
@@ -16,6 +14,10 @@
 //                          overlay's datagram size mix, plus ns per pair
 //   prime_update_ordering  end-to-end updates/sec executed by an f=1
 //                          Prime cluster on the loopback fabric
+//   prime_preprepare_encode
+//                          leader Pre-Prepare delta encodes+digests/sec
+//   prime_merkle_batch     Merkle-batched seal+verify units/sec
+//   prime_recovery_cycle   proactive recoveries/sec on an n=6 cluster
 //   overlay_forward        msgs/sec routed end-to-end through a 6-node
 //                          Spines chain (the data-plane fast path)
 //   overlay_flood          msgs/sec delivered by the priority flood over
@@ -27,6 +29,8 @@
 //                          route recomputes/sec through SpfEngine under
 //                          single-link churn on a 256-node graph, plus
 //                          the share served incrementally (vs full BFS)
+//   fleet_batch_encode     BatchReport encode+decode, device reports/sec
+//   proxy_front_door       front-door admissions/sec
 //   mana_score             frames/sec through MANA's full capture
 //                          pipeline (CaptureTap ring → flat feature
 //                          accumulators → rules → trained ensemble)
@@ -35,33 +39,24 @@
 //                          prime_update_ordering and overlay_forward
 //                          workloads (gated at >= 98%, i.e. <2% cost)
 //
-// `--baseline=PATH` merges a previously captured run (same format) into
-// the output together with per-bench speedup ratios, which is how the
-// repo tracks its perf trajectory across PRs (see DESIGN.md
-// "Performance architecture"). `--fail-below=R` additionally exits
-// non-zero if any speedup falls below R (CI's regression gate).
-#include <benchmark/benchmark.h>
-
+// Run:  bench_micro [--json=PATH] [--only=NAME]
+//
+// --only runs the sections whose name contains NAME. The floors are
+// absolute rates, so a slower host can fail them without any code
+// change (DESIGN.md "Performance architecture").
+#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "crypto/chacha20.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/keyring.hpp"
-#include "crypto/sha256.hpp"
-#include "mana/kmeans.hpp"
 #include "mana/mana.hpp"
-#include "modbus/pdu.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -70,7 +65,6 @@
 #include "prime/replica.hpp"
 #include "prime/transport.hpp"
 #include "scada/front_door.hpp"
-#include "scada/topology.hpp"
 #include "scada/wire.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -88,42 +82,6 @@ util::Bytes make_payload(std::size_t size) {
   return data;
 }
 
-void BM_Sha256(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::sha256(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
-
-void BM_HmacSha256(benchmark::State& state) {
-  const util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  crypto::Keyring keyring("bench");
-  const auto key = keyring.derive("mac");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::hmac_sha256(key, data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
-
-void BM_ChaCha20Xor(benchmark::State& state) {
-  util::Bytes data = make_payload(static_cast<std::size_t>(state.range(0)));
-  crypto::ChaChaKey key{};
-  crypto::ChaChaNonce nonce{};
-  for (auto _ : state) {
-    crypto::chacha20_xor(key, nonce, 1, data);
-    benchmark::DoNotOptimize(data.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ChaCha20Xor)->Arg(256)->Arg(4096);
-
 // Link sealing at the overlay datagram sizes the end-to-end workloads
 // send: 172 B is the fleet_commands median, 214 B and 389 B the plant
 // median and 90th percentile. As in perfbench, the plaintext is the
@@ -131,146 +89,6 @@ BENCHMARK(BM_ChaCha20Xor)->Arg(256)->Arg(4096);
 util::Bytes link_plaintext(std::size_t frame_size) {
   return make_payload(frame_size - crypto::SecureChannel::kOverhead);
 }
-
-void BM_SecureChannelSeal(benchmark::State& state) {
-  crypto::Keyring keyring("bench");
-  crypto::SecureChannel sender(keyring.link_key("a", "b"));
-  const util::Bytes data = link_plaintext(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sender.seal(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SecureChannelSeal)->Arg(172)->Arg(214)->Arg(389);
-
-void BM_SecureChannelOpen(benchmark::State& state) {
-  crypto::Keyring keyring("bench");
-  crypto::SecureChannel sender(keyring.link_key("a", "b"));
-  const crypto::SecureChannel receiver(keyring.link_key("a", "b"));
-  const util::Bytes sealed =
-      sender.seal(link_plaintext(static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    auto opened = receiver.open(sealed);
-    if (!opened) std::abort();  // bench integrity
-    benchmark::DoNotOptimize(opened);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SecureChannelOpen)->Arg(172)->Arg(214)->Arg(389);
-
-void BM_ModbusRequestRoundTrip(benchmark::State& state) {
-  const modbus::Request request =
-      modbus::ReadBitsRequest{modbus::FunctionCode::kReadCoils, 0, 128};
-  for (auto _ : state) {
-    const auto bytes = modbus::encode_request(request);
-    benchmark::DoNotOptimize(modbus::decode_request(bytes));
-  }
-}
-BENCHMARK(BM_ModbusRequestRoundTrip);
-
-void BM_PrimeEnvelopeSignVerify(benchmark::State& state) {
-  crypto::Keyring keyring("bench");
-  crypto::Signer signer("prime/0", keyring.identity_key("prime/0"));
-  crypto::Verifier verifier;
-  verifier.add_identity("prime/0", keyring.identity_key("prime/0"));
-  const util::Bytes body = make_payload(200);
-  for (auto _ : state) {
-    const auto env =
-        prime::Envelope::make(prime::MsgType::kPoRequest, signer, body);
-    benchmark::DoNotOptimize(env.verify(verifier));
-  }
-}
-BENCHMARK(BM_PrimeEnvelopeSignVerify);
-
-prime::PrePrepare make_preprepare(std::uint32_t n) {
-  crypto::Keyring keyring("bench");
-  prime::PrePrepare pp;
-  pp.leader = 0;
-  pp.view = 3;
-  pp.order_seq = 1000;
-  for (std::uint32_t j = 0; j < n; ++j) {
-    auto aru = std::make_shared<prime::PoAru>();
-    aru->replica = j;
-    aru->aru_seq = 500;
-    aru->aru.assign(n, 1000 + j);
-    crypto::Signer signer(prime::replica_identity(j),
-                          keyring.identity_key(prime::replica_identity(j)));
-    aru->sign(signer);
-    pp.rows.push_back(std::move(aru));
-  }
-  return pp;
-}
-
-void BM_PrePrepareDigest(benchmark::State& state) {
-  const auto pp = make_preprepare(static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pp.digest());
-  }
-}
-BENCHMARK(BM_PrePrepareDigest)->Arg(4)->Arg(6)->Arg(10);
-
-void BM_MatrixEligibility(benchmark::State& state) {
-  // Mirrors Replica::eligibility: quorum-th largest per column.
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto pp = make_preprepare(n);
-  const std::uint32_t quorum = 2 * ((n - 1) / 3) + 1;
-  std::vector<std::uint64_t> column(n);
-  for (auto _ : state) {
-    std::vector<std::uint64_t> result(n, 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        column[j] = pp.rows[j] ? pp.rows[j]->aru[i] : 0;
-      }
-      std::sort(column.begin(), column.end(), std::greater<>());
-      result[i] = column[quorum - 1];
-    }
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_MatrixEligibility)->Arg(4)->Arg(6)->Arg(10);
-
-void BM_TopologySerializeDigest(benchmark::State& state) {
-  scada::TopologyState topo(scada::ScenarioSpec::power_plant());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(topo.digest());
-  }
-}
-BENCHMARK(BM_TopologySerializeDigest);
-
-void BM_KMeansScore(benchmark::State& state) {
-  sim::Rng rng(3);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 200; ++i) {
-    std::vector<double> p(10);
-    for (auto& v : p) v = rng.normal(0, 1);
-    points.push_back(std::move(p));
-  }
-  const auto model = mana::kmeans_fit(points, 4, rng);
-  const auto probe = points[17];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.nearest_distance(probe));
-  }
-}
-BENCHMARK(BM_KMeansScore);
-
-void BM_SimulatorEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    int counter = 0;
-    std::function<void()> tick = [&] {
-      if (++counter < 10000) sim.schedule_after(10, tick);
-    };
-    sim.schedule_after(10, tick);
-    sim.run();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
-}
-BENCHMARK(BM_SimulatorEventThroughput);
-
-// ---- machine-readable hot-path microbenches (--json mode) -------------------
 
 using Clock = std::chrono::steady_clock;
 
@@ -281,7 +99,7 @@ double seconds_since(Clock::time_point start) {
 struct MicroResult {
   std::uint64_t items = 0;    ///< events / verifies / updates / msgs processed
   double wall_seconds = 0;
-  /// Additional named measurements emitted verbatim into the section
+  /// Additional named measurements, recorded as "<section>.<name>"
   /// (e.g. overlay_lsu_churn's recomputes_per_lsu).
   std::vector<std::pair<std::string, double>> extra;
   [[nodiscard]] double rate() const {
@@ -894,10 +712,9 @@ MicroResult run_overlay_spf_incremental() {
 /// and overlay forwarding benches with observability off (the default:
 /// no registry bindings read, Tracer::current() == nullptr) and on (a
 /// scoped registry plus an active tracer with a trivial time source)
-/// and reports the throughput retained with obs enabled as a
-/// percentage. The JSON gate hard-fails below 98% retained (<2%
-/// overhead) independent of the baseline-speedup check.
-MicroResult run_obs_overhead() {
+/// and gates the throughput retained with obs enabled at >= 98% (<2%
+/// overhead).
+void run_obs_overhead(bench::Report& report) {
   // Machine noise on shared runners is low-frequency drift (thermal,
   // neighbor load), so a global best-of across many seconds compares
   // runs from different load regimes and reads the drift as
@@ -947,14 +764,9 @@ MicroResult run_obs_overhead() {
 
   const Retained prime = retained_pct(run_prime_update_ordering, "prime");
   const Retained overlay = retained_pct(run_overlay_forward, "overlay");
-  const double retained = std::min(prime.gate, overlay.gate);
-
-  // rate() == items / wall == retained_pct (3 decimals survive).
-  MicroResult r{static_cast<std::uint64_t>(retained * 1000.0 + 0.5), 1000.0,
-                {}};
-  r.extra.emplace_back("prime_overhead_pct", 100.0 - prime.estimate);
-  r.extra.emplace_back("overlay_overhead_pct", 100.0 - overlay.estimate);
-  return r;
+  report.measured("prime_overhead_pct", 100.0 - prime.estimate);
+  report.measured("overlay_overhead_pct", 100.0 - overlay.estimate);
+  report.at_least("retained_pct", std::min(prime.gate, overlay.gate), 98);
 }
 
 // ---- fleet_batch_encode -----------------------------------------------------
@@ -999,8 +811,12 @@ MicroResult run_fleet_batch_encode() {
 // Admission hot path: token-bucket refill + priority classification +
 // stats, no allocation (obs_test asserts the zero-alloc property; this
 // measures the throughput headroom over a 20k-report/s fleet).
+//
+// One admit costs about 1.5 ns, so the rate moves by ~12% with where the
+// loop falls relative to 64-byte boundaries. Pinning the function to a
+// cache line keeps the number independent of edits elsewhere in this file.
 
-MicroResult run_proxy_front_door() {
+[[gnu::aligned(64)]] MicroResult run_proxy_front_door() {
   scada::FrontDoorConfig config;
   config.rate_per_sec = 1'000'000;
   config.burst = 128;
@@ -1019,7 +835,10 @@ MicroResult run_proxy_front_door() {
                                              : scada::DeltaPriority::kTelemetry;
     const std::size_t queued = offered % 4000;
     now += 2;  // 2 us between arrivals (500k deltas/sec)
-    benchmark::DoNotOptimize(door.admit(priority, now, queued));
+    const bool admitted = door.admit(priority, now, queued);
+    // Compiler barrier: the verdict is an input to empty asm, so neither
+    // the call nor the door's state updates can be elided.
+    asm volatile("" : : "r,m"(admitted) : "memory");
     ++offered;
   }
   const double wall = seconds_since(start);
@@ -1118,192 +937,70 @@ MicroResult run_link_seal_open() {
   return r;
 }
 
-// ---- JSON emission ----------------------------------------------------------
-
-struct BenchSection {
+/// One gated section: `run` does the timed work, and its rate in `unit`
+/// (items / wall_seconds) must reach `floor`. Each floor is 0.8x, rounded
+/// up, of the rate one reference run of the section reached; the floors
+/// are absolute, so they do not adjust to the host.
+struct Section {
   const char* name;
-  const char* unit;  ///< e.g. "events_per_sec"
-  MicroResult result;
+  const char* unit;
+  double floor;
+  MicroResult (*run)();
 };
 
-void write_section(std::FILE* f, const BenchSection& s, bool trailing_comma) {
-  std::fprintf(f,
-               "    \"%s\": {\"items\": %llu, \"wall_seconds\": %.6f, "
-               "\"%s\": %.1f",
-               s.name, static_cast<unsigned long long>(s.result.items),
-               s.result.wall_seconds, s.unit, s.result.rate());
-  for (const auto& [key, value] : s.result.extra) {
-    std::fprintf(f, ", \"%s\": %.4f", key.c_str(), value);
-  }
-  std::fprintf(f, "}%s\n", trailing_comma ? "," : "");
-}
-
-/// Minimal extractor for the fixed format this binary itself writes:
-/// finds `"<section>"` then the first `"<field>":` after it.
-double extract_rate(const std::string& text, const std::string& section,
-                    const std::string& field) {
-  const auto sec_pos = text.find("\"" + section + "\"");
-  if (sec_pos == std::string::npos) return 0;
-  const auto field_pos = text.find("\"" + field + "\":", sec_pos);
-  if (field_pos == std::string::npos) return 0;
-  return std::atof(text.c_str() + field_pos + field.size() + 3);
-}
-
-int run_json_mode(const std::string& out_path, const std::string& baseline_path,
-                  double fail_below, const std::string& only) {
-  struct Spec {
-    const char* name;
-    const char* unit;
-    MicroResult (*run)();
-  };
-  const Spec specs[] = {
-      {"scheduler_churn", "events_per_sec", run_scheduler_churn},
-      {"envelope_verify", "verifies_per_sec", run_envelope_verify},
-      {"link_seal_open", "seal_opens_per_sec", run_link_seal_open},
-      {"prime_update_ordering", "updates_per_sec", run_prime_update_ordering},
-      {"prime_preprepare_encode", "encodes_per_sec", run_prime_preprepare_encode},
-      {"prime_merkle_batch", "units_per_sec", run_prime_merkle_batch},
-      {"prime_recovery_cycle", "recoveries_per_sec", run_prime_recovery_cycle},
-      {"overlay_forward", "msgs_per_sec", run_overlay_forward},
-      {"overlay_flood", "msgs_per_sec", run_overlay_flood},
-      {"overlay_lsu_churn", "lsus_per_sec", run_overlay_lsu_churn},
-      {"overlay_incremental_spf", "recomputes_per_sec",
-       run_overlay_spf_incremental},
-      {"fleet_batch_encode", "reports_per_sec", run_fleet_batch_encode},
-      {"proxy_front_door", "admits_per_sec", run_proxy_front_door},
-      {"mana_score", "frames_per_sec", run_mana_score},
-      {"obs_overhead", "retained_pct", run_obs_overhead},
-  };
-  std::vector<BenchSection> sections;
-  for (const Spec& spec : specs) {
-    if (!only.empty() && std::string(spec.name).find(only) == std::string::npos) {
-      continue;
-    }
-    std::fprintf(stderr, "running %s...\n", spec.name);
-    sections.push_back(BenchSection{spec.name, spec.unit, spec.run()});
-  }
-  if (sections.empty()) {
-    std::fprintf(stderr, "--only=%s matches no section\n", only.c_str());
-    return 1;
-  }
-
-  std::string baseline_text;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    baseline_text = ss.str();
-  }
-
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_micro\",\n  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"results\": {\n");
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    write_section(f, sections[i], i + 1 < sections.size());
-  }
-  std::fprintf(f, "  }");
-
-  bool regressed = false;
-  if (!baseline_text.empty()) {
-    // A bench absent from the baseline (newly added) gets speedup 0 and
-    // is exempt from the regression gate.
-    std::vector<double> base_rates;
-    for (const auto& s : sections) {
-      base_rates.push_back(extract_rate(baseline_text, s.name, s.unit));
-    }
-    std::fprintf(f, ",\n  \"baseline\": {\n");
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      std::fprintf(f, "    \"%s\": {\"%s\": %.1f}%s\n", sections[i].name,
-                   sections[i].unit, base_rates[i],
-                   i + 1 < sections.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n  \"speedup\": {\n");
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-      const double speedup =
-          base_rates[i] > 0 ? sections[i].result.rate() / base_rates[i] : 0;
-      std::fprintf(f, "    \"%s\": %.2f%s\n", sections[i].name, speedup,
-                   i + 1 < sections.size() ? "," : "");
-      if (fail_below > 0 && base_rates[i] > 0 && speedup < fail_below) {
-        std::fprintf(stderr, "REGRESSION: %s at %.2fx of baseline (< %.2f)\n",
-                     sections[i].name, speedup, fail_below);
-        regressed = true;
-      }
-    }
-    std::fprintf(f, "  }");
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-
-  // Hard instrumentation-cost gate, independent of the baseline speedup:
-  // obs must retain >= 98% of uninstrumented throughput (<2% overhead).
-  if (fail_below > 0) {
-    for (const auto& s : sections) {
-      if (std::strcmp(s.name, "obs_overhead") == 0 && s.result.rate() < 98.0) {
-        std::fprintf(stderr,
-                     "REGRESSION: obs_overhead retained %.2f%% of "
-                     "uninstrumented throughput (< 98%%)\n",
-                     s.result.rate());
-        regressed = true;
-      }
-    }
-  }
-
-  for (const auto& s : sections) {
-    std::printf("%-22s %12.0f %s", s.name, s.result.rate(), s.unit);
-    for (const auto& [key, value] : s.result.extra) {
-      std::printf("  %s=%.3f", key.c_str(), value);
-    }
-    std::printf("\n");
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  return regressed ? 2 : 0;
-}
+constexpr Section kSections[] = {
+    {"scheduler_churn", "events_per_sec", 2642717, run_scheduler_churn},
+    {"envelope_verify", "verifies_per_sec", 519524, run_envelope_verify},
+    {"link_seal_open", "seal_opens_per_sec", 398968, run_link_seal_open},
+    {"prime_update_ordering", "updates_per_sec", 32922,
+     run_prime_update_ordering},
+    {"prime_preprepare_encode", "encodes_per_sec", 1043135,
+     run_prime_preprepare_encode},
+    {"prime_merkle_batch", "units_per_sec", 545929, run_prime_merkle_batch},
+    {"prime_recovery_cycle", "recoveries_per_sec", 80,
+     run_prime_recovery_cycle},
+    {"overlay_forward", "msgs_per_sec", 97780, run_overlay_forward},
+    {"overlay_flood", "msgs_per_sec", 217818, run_overlay_flood},
+    {"overlay_lsu_churn", "lsus_per_sec", 42934, run_overlay_lsu_churn},
+    {"overlay_incremental_spf", "recomputes_per_sec", 51554,
+     run_overlay_spf_incremental},
+    {"fleet_batch_encode", "reports_per_sec", 2006007, run_fleet_batch_encode},
+    {"proxy_front_door", "admits_per_sec", 314369053, run_proxy_front_door},
+    {"mana_score", "frames_per_sec", 12860468, run_mana_score},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_logging(argc, argv);
-  bool json = false;
-  std::string out_path = "BENCH_micro.json";
-  std::string baseline_path;
-  std::string only;  // substring filter over section names (debug aid)
-  double fail_below = 0;  // 0 disables the regression gate
-  std::vector<char*> passthrough{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--log-level=", 0) == 0) {
-      // consumed by init_logging
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      out_path = arg.substr(7);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--fail-below=", 0) == 0) {
-      fail_below = std::atof(arg.c_str() + 13);
-    } else if (arg.rfind("--only=", 0) == 0) {
-      only = arg.substr(7);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  if (json) return run_json_mode(out_path, baseline_path, fail_below, only);
-
-  int pass_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&pass_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
+  const bench::Args args(argc, argv, {"--json=PATH", "--only=NAME"});
+  const std::string only = args.str("--only", "");
+  const auto selected = [&only](const std::string& name) {
+    return name.find(only) != std::string::npos;
+  };
+  const bool obs_selected = selected("obs_overhead");
+  if (!obs_selected && std::none_of(std::begin(kSections), std::end(kSections),
+                                    [&](const Section& s) {
+                                      return selected(s.name);
+                                    })) {
+    std::fprintf(stderr, "--only=%s matches no section\n", only.c_str());
     return 1;
   }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+
+  bench::Report report(args, "bench_micro");
+  for (const Section& section : kSections) {
+    if (!selected(section.name)) continue;
+    std::fprintf(stderr, "running %s...\n", section.name);
+    const MicroResult r = section.run();
+    report.run(section.name);
+    report.measured("items", static_cast<double>(r.items));
+    report.measured("wall_seconds", r.wall_seconds);
+    for (const auto& [key, value] : r.extra) report.measured(key, value);
+    report.at_least(section.unit, r.rate(), section.floor);
+  }
+  if (obs_selected) {
+    std::fprintf(stderr, "running obs_overhead...\n");
+    report.run("obs_overhead");
+    run_obs_overhead(report);
+  }
+  return report.finish();
 }

@@ -106,24 +106,12 @@ inline std::string fmt_ms(double ms) {
   return buf;
 }
 
-/// Standard bench logging setup: silent by default, then the SPIRE_LOG
-/// env spec, then any --log-level=SPEC flags (same spec syntax:
-/// "debug", "prime=debug,spines=warn", …). Args calls it.
-inline void init_logging(int argc, char** argv) {
-  auto& config = util::LogConfig::instance();
-  config.level = util::LogLevel::kOff;
-  if (const char* env = std::getenv("SPIRE_LOG")) config.apply_spec(env);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
-      config.apply_spec(argv[i] + 12);
-    }
-  }
-}
-
 /// The flags one bench takes. Each spec names a flag and shows its
 /// form: "--chaos" is a switch, "--devices=N" needs a value. Every bench
 /// also takes --log-level=SPEC. Construct it first in main(): it sets up
-/// logging, and an undeclared argument, a switch given a value or a flag
+/// logging (silent by default, then the SPIRE_LOG env spec, then each
+/// --log-level spec in order: "debug", "prime=debug,spines=warn", …),
+/// and an undeclared argument, a switch given a value or a flag
 /// without one prints the usage line and exits 2, so a mistyped or
 /// retired flag cannot silently drop a gate.
 class Args {
@@ -131,6 +119,9 @@ class Args {
   Args(int argc, char** argv, std::initializer_list<const char*> specs)
       : program_(argc > 0 ? argv[0] : "bench"), specs_(specs) {
     specs_.push_back("--log-level=SPEC");
+    auto& log = util::LogConfig::instance();
+    log.level = util::LogLevel::kOff;
+    if (const char* env = std::getenv("SPIRE_LOG")) log.apply_spec(env);
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       const std::size_t eq = arg.find('=');
@@ -145,8 +136,8 @@ class Args {
         usage(name + " needs a value");
       }
       given_[name] = takes_value ? arg.substr(eq + 1) : std::string();
+      if (name == "--log-level") log.apply_spec(given_[name]);
     }
-    init_logging(argc, argv);
   }
 
   [[nodiscard]] bool has(const std::string& name) const {

@@ -42,8 +42,6 @@ class Outstation {
       std::span<const std::uint8_t> data);
 
   [[nodiscard]] std::uint64_t requests_served() const { return served_; }
-  /// IIN1.7 "device restart" until the first response is served.
-  void set_restarted() { restarted_ = true; }
 
  private:
   std::uint16_t address_;

@@ -105,10 +105,6 @@ class Mana {
     return stats_.windows_anomalous;
   }
   [[nodiscard]] double threshold() const { return threshold_; }
-  [[nodiscard]] net::NetworkId network_id() const { return network_id_; }
-
-  /// Clears the alert list (between experiment phases).
-  void clear_alerts() { alerts_.clear(); }
 
  private:
   void process_summary(const net::FrameSummary& summary);

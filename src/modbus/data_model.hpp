@@ -18,17 +18,11 @@ class DataModel {
   // Direct accessors used by the PLC scan logic (bounds-checked).
   [[nodiscard]] bool coil(std::size_t addr) const { return coils_.at(addr); }
   void set_coil(std::size_t addr, bool v) { coils_.at(addr) = v; }
-  [[nodiscard]] bool discrete_input(std::size_t addr) const {
-    return discrete_inputs_.at(addr);
-  }
   void set_discrete_input(std::size_t addr, bool v) {
     discrete_inputs_.at(addr) = v;
   }
   [[nodiscard]] std::uint16_t holding_register(std::size_t addr) const {
     return holding_.at(addr);
-  }
-  void set_holding_register(std::size_t addr, std::uint16_t v) {
-    holding_.at(addr) = v;
   }
   [[nodiscard]] std::uint16_t input_register(std::size_t addr) const {
     return input_.at(addr);
@@ -36,9 +30,6 @@ class DataModel {
   void set_input_register(std::size_t addr, std::uint16_t v) {
     input_.at(addr) = v;
   }
-
-  [[nodiscard]] std::size_t coil_count() const { return coils_.size(); }
-  [[nodiscard]] std::size_t holding_count() const { return holding_.size(); }
 
   /// Executes a decoded request against the model, honouring Modbus
   /// addressing/exception semantics.

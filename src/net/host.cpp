@@ -51,10 +51,6 @@ void Host::bind_udp(std::uint16_t port, UdpHandler handler) {
 
 void Host::unbind_udp(std::uint16_t port) { udp_handlers_.erase(port); }
 
-bool Host::has_binding(std::uint16_t port) const {
-  return udp_handlers_.count(port) > 0;
-}
-
 bool Host::is_local_ip(IpAddress ip) const {
   return std::any_of(ifaces_.begin(), ifaces_.end(),
                      [&](const Interface& i) { return i.ip == ip; });
@@ -285,24 +281,11 @@ void Host::forward_datagram(Datagram dgram) {
     return;
   }
 
-  // Longest-prefix match over static routes, then directly attached nets.
-  std::optional<Route> best;
-  for (const auto& route : routes_) {
-    if (!dgram.dst_ip.same_subnet(route.prefix, route.prefix_len)) continue;
-    if (!best || route.prefix_len > best->prefix_len) best = route;
-  }
-  std::size_t iface;
-  IpAddress next_hop = dgram.dst_ip;
-  if (best) {
-    iface = best->out_interface;
-    if (best->next_hop) next_hop = *best->next_hop;
-  } else if (auto direct = interface_for(dgram.dst_ip)) {
-    iface = *direct;
-  } else {
-    return;
-  }
+  // Forward out of the interface directly attached to the destination.
+  const auto iface = interface_for(dgram.dst_ip);
+  if (!iface) return;
   ++stats_.forwarded;
-  transmit_datagram(iface, next_hop, dgram);
+  transmit_datagram(*iface, dgram.dst_ip, dgram);
 }
 
 }  // namespace spire::net

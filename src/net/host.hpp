@@ -62,13 +62,6 @@ struct ForwardRule {
   std::optional<std::uint16_t> dst_port;
 };
 
-struct Route {
-  IpAddress prefix;
-  int prefix_len = 24;
-  std::size_t out_interface = 0;
-  std::optional<IpAddress> next_hop;  ///< empty: directly attached.
-};
-
 struct HostStats {
   std::uint64_t frames_rx = 0;
   std::uint64_t datagrams_delivered = 0;
@@ -127,7 +120,6 @@ class Host {
   // ---- sockets ----------------------------------------------------------
   void bind_udp(std::uint16_t port, UdpHandler handler);
   void unbind_udp(std::uint16_t port);
-  [[nodiscard]] bool has_binding(std::uint16_t port) const;
 
   /// Sends a datagram; returns false if the egress firewall blocks it or
   /// no route exists. Source IP is taken from the chosen interface.
@@ -143,7 +135,6 @@ class Host {
 
   // ---- forwarding (firewall appliance / router) --------------------------
   void enable_forwarding(bool default_deny);
-  void add_route(Route route) { routes_.push_back(route); }
   void add_forward_allow(ForwardRule rule) { forward_allow_.push_back(rule); }
 
   // ---- attacker-facing hooks ---------------------------------------------
@@ -210,7 +201,6 @@ class Host {
   bool forwarding_ = false;
   bool forward_default_deny_ = true;
   std::vector<ForwardRule> forward_allow_;
-  std::vector<Route> routes_;
 
   FrameSniffer sniffer_;
   PacketInterceptor interceptor_;

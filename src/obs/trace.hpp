@@ -57,7 +57,7 @@ struct Span {
   static constexpr std::uint32_t kNoDevice = 0xFFFFFFFFu;
   static constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
 
-  std::uint32_t client = 0;     // interned identity, see Tracer::client_name
+  std::uint32_t client = 0;     // interned identity, see Tracer::intern
   std::uint32_t device = kNoDevice;  // interned, see Tracer::device_name
   std::uint64_t client_seq = 0;
   std::uint64_t version = 0;    // SCADA state version that published it
@@ -212,9 +212,6 @@ class Tracer {
 
   // --- results -------------------------------------------------------
   [[nodiscard]] const std::vector<Span>& spans() const { return spans_; }
-  [[nodiscard]] const std::string& client_name(std::uint32_t id) const {
-    return client_names_[id];
-  }
   [[nodiscard]] const std::string& device_name(std::uint32_t id) const {
     return device_names_[id];
   }

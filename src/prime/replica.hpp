@@ -170,7 +170,6 @@ class Replica {
   /// Installs a scripted Byzantine behaviour (see ByzantineConfig).
   /// Survives crash/restart; cleared by recover().
   void set_byzantine(ByzantineConfig byz) { byz_ = std::move(byz); }
-  [[nodiscard]] const ByzantineConfig& byzantine() const { return byz_; }
 
   /// Observer invoked on every executed update (benches/tests).
   using ExecuteObserver =

@@ -61,9 +61,7 @@ struct SiteTopology {
   [[nodiscard]] std::uint32_t site_count() const {
     return control_centers + data_centers;
   }
-  [[nodiscard]] bool multi_site() const { return site_count() > 1; }
 
-  static SiteTopology single_site() { return {}; }
   static SiteTopology two_cc_two_dc(sim::Time latency = 20 * sim::kMillisecond) {
     return SiteTopology{2, 2, latency};
   }
@@ -141,13 +139,6 @@ class SpireDeployment {
   }
   [[nodiscard]] net::Switch& external_site_switch(std::uint32_t site) {
     return *external_switches_.at(site);
-  }
-
-  /// Models a successful replica compromise (the red-team suite's
-  /// mid-soak stage): installs the scripted Byzantine behaviour on
-  /// replica `i`. A later proactive recovery wipes it.
-  void compromise_replica(std::size_t i, prime::ByzantineConfig byz) {
-    replicas_.at(i)->set_byzantine(std::move(byz));
   }
 
   /// Actuates a breaker locally at the field device (the plant

@@ -204,16 +204,6 @@ crypto::Digest TopologyState::digest() const {
   return crypto::sha256(serialize());
 }
 
-crypto::Digest TopologyState::display_digest() const {
-  util::ByteWriter w;
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    w.str(names_[i]);
-    w.boolean(states_[i].online);
-    for (const bool b : states_[i].breakers) w.boolean(b);
-  }
-  return crypto::sha256(w.bytes());
-}
-
 bool TopologyState::has_changes() const {
   for (const std::uint64_t mask : changed_) {
     if (mask != 0) return true;
@@ -247,16 +237,6 @@ util::Bytes TopologyState::serialize_changes() const {
 
 void TopologyState::clear_changes() {
   for (std::uint64_t& mask : changed_) mask = 0;
-}
-
-void TopologyState::mark_all_changed() {
-  if (changed_.empty()) return;
-  for (std::uint64_t& mask : changed_) mask = ~std::uint64_t{0};
-  // Trim the final partial shard to registered devices.
-  const std::size_t tail = states_.size() & (kShardSize - 1);
-  if (tail != 0) {
-    changed_.back() = (std::uint64_t{1} << tail) - 1;
-  }
 }
 
 void TopologyState::set_changed_masks(std::vector<std::uint64_t> masks) {

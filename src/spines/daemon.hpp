@@ -173,8 +173,6 @@ class Daemon {
   [[nodiscard]] bool lsdb_contains(const NodeId& origin) const;
   /// True when any declared neighbor is in another area.
   [[nodiscard]] bool is_border() const;
-  /// Incremental-SPF engine introspection (equivalence tests, benches).
-  [[nodiscard]] const SpfStats& spf_stats() const { return spf_.stats(); }
   /// Total LSU + summary bytes this daemon has sent to `neighbor`
   /// (bench_wide_area sums these over the designated wide links).
   [[nodiscard]] std::uint64_t control_bytes_to(const NodeId& neighbor) const;
